@@ -38,10 +38,13 @@ struct VerifyIssue {
 
 /// Verifies a single function against \p R, producing structured issues.
 /// \p NumBuiltins bounds the NativeCall immediates.  Empty means the
-/// function verified.
+/// function verified; then \p MaxStack, when given, receives the maximum
+/// operand-stack depth over all paths (the bound interpreter frames are
+/// sized by).
 std::vector<VerifyIssue> verifyFunctionIssues(const Repo &R,
                                               const Function &F,
-                                              uint32_t NumBuiltins);
+                                              uint32_t NumBuiltins,
+                                              uint32_t *MaxStack = nullptr);
 
 /// Verifies a single function against \p R.  \p NumBuiltins bounds the
 /// NativeCall immediates.  \returns human-readable error strings; empty

@@ -6,11 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-function execution metadata for the fast interpreter engine.
+/// Per-function execution metadata for the interpreter.
 ///
-/// The fast engine (interp/Interpreter.cpp) relies on three pieces of
-/// statically derived information per function, computed once on first
-/// execution and cached here:
+/// Computed once per function on first call and cached here.  The
+/// bytecode verifier (bytecode/Verifier.h) is the gate: frames run only
+/// verified functions, and a call to an unverified one faults (Null
+/// result, one fault) on either engine.  For verified functions the fast
+/// engine (interp/Interpreter.cpp) relies on three pieces of statically
+/// derived information:
 ///
 ///  - Run lengths for bulk step accounting: a "run" is the straight-line
 ///    instruction sequence ending at (and including) the next
@@ -20,12 +23,9 @@
 ///    because calls end runs the global step counter agrees with the
 ///    legacy engine's at every callee entry and every abort point.
 ///
-///  - The maximum operand-stack depth, from the same abstract
-///    interpretation the verifier performs.  It lets a frame's locals and
-///    stack be carved out of the request FrameArena in one allocation
-///    with no per-push growth checks.  Functions whose analysis fails
-///    (unverifiable code reached via fuzzing) set HasStaticStack = false
-///    and execute on the legacy engine, which handles anything.
+///  - The maximum operand-stack depth the verifier's stack-depth pass
+///    reports.  It lets a frame's locals and stack be carved out of the
+///    request FrameArena in one allocation with no per-push growth checks.
 ///
 ///  - Inline caches for property and method dispatch sites, keyed by the
 ///    receiver's ClassLayout.  They live here, outside the immutable
@@ -57,31 +57,33 @@ struct ICEntry {
 /// Static execution metadata for one function (see file comment).
 struct FuncExecInfo {
   /// RunLen[I]: instructions from I through the end of I's run,
-  /// inclusive.  Empty when !HasStaticStack.
+  /// inclusive.  Empty when !Verified.
   std::vector<uint32_t> RunLen;
 
-  /// Inline caches indexed by Pc.  Empty when !HasStaticStack or the
-  /// function has no cacheable site.
+  /// Inline caches indexed by Pc.  Empty when !Verified or the function
+  /// has no cacheable site.
   std::vector<ICEntry> ICs;
 
-  /// Maximum operand-stack depth over all paths.
+  /// Maximum operand-stack depth over all paths, as the verifier reports.
   uint32_t MaxStack = 0;
 
-  /// True when the static analysis succeeded (branch targets in range,
-  /// control cannot fall off the end, stack depths consistent).  False
-  /// sends frames of this function to the legacy engine.
-  bool HasStaticStack = false;
+  /// True when the verifier found no issue.  Calls to an unverified
+  /// function fault without running a frame.
+  bool Verified = false;
 };
 
-/// Computes FuncExecInfo for \p F (exposed for tests).
-FuncExecInfo computeExecInfo(const bc::Function &F);
+/// Verifies \p F against \p R (\p NumBuiltins bounds its NativeCall
+/// immediates) and computes its FuncExecInfo (exposed for tests).
+FuncExecInfo computeExecInfo(const bc::Repo &R, const bc::Function &F,
+                             uint32_t NumBuiltins);
 
 /// Caches FuncExecInfo per FuncId, plus deterministic inline-cache hit
 /// statistics.  One instance per Interpreter; not thread-safe, matching
 /// the single-threaded simulated servers.
 class InterpCaches {
 public:
-  explicit InterpCaches(const bc::Repo &R) : R(R) {}
+  InterpCaches(const bc::Repo &R, uint32_t NumBuiltins)
+      : R(R), NumBuiltins(NumBuiltins) {}
 
   /// The (lazily computed) execution metadata for \p F.
   FuncExecInfo &info(bc::FuncId F) {
@@ -89,7 +91,8 @@ public:
       Cache.resize(R.numFuncs());
     auto &Slot = Cache[F.raw()];
     if (!Slot)
-      Slot = std::make_unique<FuncExecInfo>(computeExecInfo(R.func(F)));
+      Slot = std::make_unique<FuncExecInfo>(
+          computeExecInfo(R, R.func(F), NumBuiltins));
     return *Slot;
   }
 
@@ -100,6 +103,7 @@ public:
 
 private:
   const bc::Repo &R;
+  uint32_t NumBuiltins;
   std::vector<std::unique_ptr<FuncExecInfo>> Cache;
 };
 

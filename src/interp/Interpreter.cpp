@@ -22,10 +22,13 @@
 //    plain instantiation contains no observation code at all, and the
 //    engine picks the instantiation once per frame.
 //
-// Every observable -- results, faults, step totals, abort points,
-// callback streams, simulated heap addresses -- must be bit-for-bit
-// identical across engines; the conformance harness (src/testing) diffs
-// full execution digests between them to enforce it.
+// Both engines run only verified functions: execFrame and callFast
+// refuse an unverified callee with a fault before any frame exists, so
+// neither loop ever sees bytecode the verifier rejected.  Every
+// observable -- results, faults, step totals, abort points, callback
+// streams, simulated heap addresses -- must be bit-for-bit identical
+// across engines; the conformance harness (src/testing) diffs full
+// execution digests between them to enforce it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +56,7 @@ Interpreter::Interpreter(const bc::Repo &R, runtime::ClassTable &Classes,
                          const runtime::BuiltinTable &Builtins,
                          InterpOptions Opts)
     : R(R), Classes(Classes), H(H), Builtins(Builtins), Opts(Opts),
-      Blocks(R), Caches(R) {}
+      Blocks(R), Caches(R, Builtins.size()) {}
 
 Value Interpreter::fault() {
   ++Faults;
@@ -66,7 +69,7 @@ bool Interpreter::seedIC(bc::FuncId F, uint32_t Pc, const void *Key,
     return false;
   FuncExecInfo &Info = Caches.info(F);
   if (Pc >= Info.ICs.size())
-    return false; // legacy-engine function (no IC table) or bad site
+    return false; // unverified function (no IC table) or bad site
   ICEntry &E = Info.ICs[Pc];
   if (E.Key)
     return false; // already warm; never overwrite a live entry
@@ -97,14 +100,10 @@ Value Interpreter::execFrame(bc::FuncId FId, const Value *Args,
     return Value::null();
   }
   const bc::Function &F = R.func(FId);
-  if (F.Code.empty())
-    return fault();
-
-  if (Opts.Engine == InterpEngine::Legacy)
-    return execFrameLegacy(F, FId, Args, NumArgs, This, Caller, Depth);
-
   FuncExecInfo &Info = Caches.info(FId);
-  if (JS_UNLIKELY(!Info.HasStaticStack))
+  if (JS_UNLIKELY(!Info.Verified))
+    return fault();
+  if (Opts.Engine == InterpEngine::Legacy)
     return execFrameLegacy(F, FId, Args, NumArgs, This, Caller, Depth);
   if (Callbacks)
     return execFrameFast<true>(F, Info, FId, Args, NumArgs, This, Caller,
@@ -122,11 +121,9 @@ Value Interpreter::callFast(bc::FuncId FId, const Value *Args,
     return Value::null();
   }
   const bc::Function &F = R.func(FId);
-  if (F.Code.empty())
-    return fault();
   FuncExecInfo &Info = Caches.info(FId);
-  if (JS_UNLIKELY(!Info.HasStaticStack))
-    return execFrameLegacy(F, FId, Args, NumArgs, This, Caller, Depth);
+  if (JS_UNLIKELY(!Info.Verified))
+    return fault();
   return execFrameFast<Instrumented>(F, Info, FId, Args, NumArgs, This,
                                      Caller, Depth);
 }

@@ -44,14 +44,15 @@ struct InterpResult {
   uint64_t Faults = 0;
 };
 
-/// Which execution engine frames run on.  Both are observably identical
-/// (same results, faults, step accounting, callback streams); they differ
-/// only in speed.  The differential conformance harness (src/testing)
-/// keeps them honest by diffing full execution digests across engines.
+/// Which execution engine frames run on.  Both run only verified
+/// functions (a call to an unverified one faults; see
+/// interp/InterpCache.h) and are observably identical (same results,
+/// faults, step accounting, callback streams); they differ only in
+/// speed.  The differential conformance harness (src/testing) keeps them
+/// honest by diffing full execution digests across engines.
 enum class InterpEngine : uint8_t {
   /// Threaded dispatch, arena frames, interned strings, inline caches,
-  /// per-run step accounting.  Falls back to Legacy per function when
-  /// static frame analysis fails (see interp/InterpCache.h).
+  /// per-run step accounting.
   Fast,
   /// The original switch loop with per-instruction checks and
   /// vector-backed frames.  Kept as the semantic reference and the
@@ -105,9 +106,9 @@ public:
   /// entry (whole-program analysis; ProvenFacts::ICSeeds).  Caches only
   /// what a successful dynamic lookup would cache: the caller supplies
   /// the receiver's ClassLayout as \p Key and the resolved slot/FuncId
-  /// as \p Payload.  \returns true when an empty entry was filled; a
-  /// legacy-engine function, an out-of-range site or an already-warm
-  /// entry is left untouched.
+  /// as \p Payload.  \returns true when an empty entry was filled; an
+  /// unverified function, an out-of-range site or an already-warm entry
+  /// is left untouched.
   bool seedIC(bc::FuncId F, uint32_t Pc, const void *Key, uint64_t Payload);
 
 private:
@@ -127,9 +128,10 @@ private:
                                uint32_t NumArgs, runtime::Value This,
                                bc::FuncId Caller, uint32_t Depth);
   /// Call entry used by fast-engine call sites: identical to execFrame
-  /// but skips the engine-selection and callback tests, both of which
-  /// the calling frame already resolved (the engine cannot change
-  /// mid-request and Instrumented carries the callback decision).
+  /// (including the refusal of unverified callees) but skips the
+  /// engine-selection and callback tests, both of which the calling
+  /// frame already resolved (the engine cannot change mid-request and
+  /// Instrumented carries the callback decision).
   template <bool Instrumented>
   runtime::Value callFast(bc::FuncId FId, const runtime::Value *Args,
                           uint32_t NumArgs, runtime::Value This,

@@ -124,15 +124,11 @@ double Server::loadUnitsFor(bc::FuncId F) {
   return Config.UnitLoadCost;
 }
 
-RequestResult Server::executeRequest(bc::FuncId F,
-                                     const std::vector<runtime::Value> &Args) {
-  alwaysAssert(!Serving.load(std::memory_order_acquire),
-               "executeRequest() is the serial path; use serve() inside a "
-               "concurrent-serving window");
-  ExecContext &Ctx = *Serial;
-  size_t SpanIndex = 0;
-  if (Obs)
-    SpanIndex = Obs->Trace.beginSpan("request", "request", ServerTrack);
+RequestResult
+Server::runOnContext(ExecContext &Ctx, bc::FuncId F,
+                     const std::vector<runtime::Value> &Args,
+                     uint64_t DecayIndex,
+                     const std::function<double(uint32_t)> &CostPerBytecode) {
   Ctx.PendingLoadUnits = 0;
   Ctx.InstrCounts.assign(R.numFuncs(), 0);
   interp::InterpResult Result = Ctx.Interp->call(F, Args);
@@ -142,9 +138,6 @@ RequestResult Server::executeRequest(bc::FuncId F,
   Res.Obs.Output = Ctx.Output;
   Res.Obs.Faults = Result.Faults;
   Res.Obs.Ok = Result.Ok;
-  Faults += Result.Faults;
-  ++Requests;
-  TheJit.onRequestFinished();
   Ctx.Heap.reset();
   Ctx.Output.clear();
 
@@ -153,30 +146,47 @@ RequestResult Server::executeRequest(bc::FuncId F,
     if (Ctx.InstrCounts[FuncRaw] == 0)
       continue;
     Units += static_cast<double>(Ctx.InstrCounts[FuncRaw]) *
-             TheJit.execCostPerBytecode(bc::FuncId(FuncRaw));
+             CostPerBytecode(FuncRaw);
   }
   // Runtime-warmup friction (see ServerConfig::RuntimeWarmupPenalty).
   if (Config.RuntimeWarmupPenalty > 0 && Config.RuntimeWarmupTau > 0) {
-    double Decay = std::exp(-static_cast<double>(Requests) /
+    double Decay = std::exp(-static_cast<double>(DecayIndex) /
                             Config.RuntimeWarmupTau);
     Units *= 1.0 + Config.RuntimeWarmupPenalty * Decay;
   }
-  double Seconds = unitsToSeconds(Units);
+  Res.Seconds = unitsToSeconds(Units);
+  return Res;
+}
+
+RequestResult Server::executeRequest(bc::FuncId F,
+                                     const std::vector<runtime::Value> &Args) {
+  alwaysAssert(!Serving.load(std::memory_order_acquire),
+               "executeRequest() is the serial path; use serve() inside a "
+               "concurrent-serving window");
+  size_t SpanIndex = 0;
+  if (Obs)
+    SpanIndex = Obs->Trace.beginSpan("request", "request", ServerTrack);
+  RequestResult Res =
+      runOnContext(*Serial, F, Args, Requests + 1, [this](uint32_t FuncRaw) {
+        return TheJit.execCostPerBytecode(bc::FuncId(FuncRaw));
+      });
+  Faults += Res.Obs.Faults;
+  ++Requests;
+  TheJit.onRequestFinished();
   if (Obs) {
     // The request's CPU time is what moves this server's virtual clock.
-    Obs->Clock.advance(Seconds);
+    Obs->Clock.advance(Res.Seconds);
     Obs->Trace.endSpan(SpanIndex);
     obs::LabelSet ByServer{{"server", Config.Name}};
     Obs->Metrics.counter("jumpstart.server.requests", ByServer).inc();
-    if (Result.Faults)
+    if (Res.Obs.Faults)
       Obs->Metrics.counter("jumpstart.server.faults", ByServer)
-          .inc(Result.Faults);
+          .inc(Res.Obs.Faults);
     Obs->Metrics
         .histogram("jumpstart.server.request_seconds", ByServer,
                    obs::latencyBucketsSeconds())
-        .observe(Seconds);
+        .observe(Res.Seconds);
   }
-  Res.Seconds = Seconds;
   return Res;
 }
 

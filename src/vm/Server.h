@@ -48,6 +48,7 @@
 #include "support/Epoch.h"
 #include "support/ThreadSafety.h"
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -96,8 +97,6 @@ struct ServerConfig {
   double UnitLoadCost = 40000;
   /// Virtual cost of deserializing a profile package, per byte.
   double DeserializeCostPerByte = 2.0;
-  /// Warmup requests run at initialization (paper section VII-A).
-  uint32_t WarmupRequests = 12;
   /// Runtime-warmup friction: early requests pay a penalty that decays
   /// with requests served, modelling the warmup effects outside the JIT
   /// (data caches, backend connections, OS page cache).  Cost multiplier
@@ -162,7 +161,6 @@ public:
   ServerConfigBuilder &unitsPerCorePerSecond(double V);
   ServerConfigBuilder &unitLoadCost(double V);
   ServerConfigBuilder &deserializeCostPerByte(double V);
-  ServerConfigBuilder &warmupRequests(uint32_t V);
   ServerConfigBuilder &runtimeWarmup(double Penalty, double Tau);
   ServerConfigBuilder &jit(jit::JitConfig V);
   ServerConfigBuilder &interp(interp::InterpOptions V);
@@ -401,12 +399,15 @@ private:
   /// Captures the JIT's translation state and installs it as the
   /// current snapshot.  Background compile thread (or begin) only.
   void publishSnapshot();
-  /// Runs one request on \p Ctx under an epoch guard, costing it with
-  /// the pinned snapshot.  \p DecayRequests is the request count used
-  /// for the runtime-warmup decay.
-  RequestResult executeOnContext(ExecContext &Ctx, bc::FuncId F,
-                                 const std::vector<runtime::Value> &Args,
-                                 uint64_t DecayRequests);
+  /// The request routine both paths share: runs \p F on \p Ctx,
+  /// renders its observables, resets the context's heap and output, and
+  /// costs it as the unit loads charged meanwhile plus, per function,
+  /// instructions executed times \p CostPerBytecode(raw FuncId), scaled
+  /// by the runtime-warmup friction of request number \p DecayIndex.
+  RequestResult
+  runOnContext(ExecContext &Ctx, bc::FuncId F,
+               const std::vector<runtime::Value> &Args, uint64_t DecayIndex,
+               const std::function<double(uint32_t)> &CostPerBytecode);
   uint32_t effectiveMaxInFlight() const;
 
   const bc::Repo &R;

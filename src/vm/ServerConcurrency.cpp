@@ -29,11 +29,9 @@
 #include "jit/ParallelRetranslate.h"
 
 #include "obs/Observability.h"
-#include "runtime/ValueOps.h"
 #include "support/Assert.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace jumpstart;
 using namespace jumpstart::vm;
@@ -127,8 +125,24 @@ RequestResult Server::serve(bc::FuncId F,
     FreeContexts.pop_back();
   }
 
-  RequestResult Res =
-      executeOnContext(*Ctx, F, Args, BaseRequests + RequestIndex + 1);
+  RequestResult Res;
+  {
+    // Pin an epoch for the whole request: the snapshot pointer stays
+    // valid until we unpin, however many publications happen meanwhile.
+    support::EpochGuard Guard(*Domain, *Ctx->Slot);
+    const jit::TransSnapshot *Snap = Publisher->current();
+    alwaysAssert(Snap, "serving without a published snapshot");
+    // Cost against the pinned snapshot.  No unit load is ever charged:
+    // the data plane was fully preloaded at beginConcurrentServing().
+    // Runtime-warmup friction decays by the caller-assigned request
+    // index, not arrival order, so it is interleaving-independent.
+    Res = runOnContext(*Ctx, F, Args, BaseRequests + RequestIndex + 1,
+                       [Snap](uint32_t FuncRaw) {
+                         return Snap->CostPerBytecode[FuncRaw];
+                       });
+  }
+  Ctx->Faults += Res.Obs.Faults;
+  ++Ctx->Served;
 
   {
     support::MutexLock Lock(ServeM);
@@ -137,50 +151,6 @@ RequestResult Server::serve(bc::FuncId F,
     ++ServedCount;
   }
   ServeCV.notifyAll();
-  return Res;
-}
-
-RequestResult
-Server::executeOnContext(ExecContext &Ctx, bc::FuncId F,
-                         const std::vector<runtime::Value> &Args,
-                         uint64_t DecayRequests) {
-  // Pin an epoch for the whole request: the snapshot pointer stays
-  // valid until we unpin, however many publications happen meanwhile.
-  support::EpochGuard Guard(*Domain, *Ctx.Slot);
-  const jit::TransSnapshot *Snap = Publisher->current();
-  alwaysAssert(Snap, "serving without a published snapshot");
-
-  Ctx.InstrCounts.assign(R.numFuncs(), 0);
-  interp::InterpResult Result = Ctx.Interp->call(F, Args);
-
-  RequestResult Res;
-  // Render before the heap reset: the return value may point into it.
-  Res.Obs.Ret = runtime::toString(Result.Ret);
-  Res.Obs.Output = Ctx.Output;
-  Res.Obs.Faults = Result.Faults;
-  Res.Obs.Ok = Result.Ok;
-  Ctx.Faults += Result.Faults;
-  ++Ctx.Served;
-  Ctx.Heap.reset();
-  Ctx.Output.clear();
-
-  // Cost the request against the pinned snapshot.  No unit-load term:
-  // the data plane was fully preloaded at beginConcurrentServing().
-  double Units = 0;
-  for (uint32_t FuncRaw = 0; FuncRaw < Ctx.InstrCounts.size(); ++FuncRaw) {
-    if (Ctx.InstrCounts[FuncRaw] == 0)
-      continue;
-    Units += static_cast<double>(Ctx.InstrCounts[FuncRaw]) *
-             Snap->CostPerBytecode[FuncRaw];
-  }
-  // Runtime-warmup friction decays by the caller-assigned request
-  // index, not arrival order, so it is interleaving-independent.
-  if (Config.RuntimeWarmupPenalty > 0 && Config.RuntimeWarmupTau > 0) {
-    double Decay = std::exp(-static_cast<double>(DecayRequests) /
-                            Config.RuntimeWarmupTau);
-    Units *= 1.0 + Config.RuntimeWarmupPenalty * Decay;
-  }
-  Res.Seconds = unitsToSeconds(Units);
   return Res;
 }
 

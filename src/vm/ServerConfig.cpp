@@ -66,10 +66,6 @@ ServerConfigBuilder &ServerConfigBuilder::deserializeCostPerByte(double V) {
   C.DeserializeCostPerByte = V;
   return *this;
 }
-ServerConfigBuilder &ServerConfigBuilder::warmupRequests(uint32_t V) {
-  C.WarmupRequests = V;
-  return *this;
-}
 ServerConfigBuilder &ServerConfigBuilder::runtimeWarmup(double Penalty,
                                                         double Tau) {
   C.RuntimeWarmupPenalty = Penalty;

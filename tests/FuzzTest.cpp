@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Grammar-directed fuzzing: generate random (syntactically valid)
-/// mini-Hack programs and check the pipeline invariants -- everything the
+/// mini-Hack programs with testing::generateProgram (the differential
+/// oracle's generator) and check the pipeline invariants -- everything the
 /// compiler accepts must verify, and everything that verifies must
 /// execute without crashing the VM (dynamic faults are fine; crashes and
 /// verifier escapes are not).  Also cross-checks that JIT observation
@@ -15,176 +16,29 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Linter.h"
 #include "bytecode/Verifier.h"
-#include "core/Consumer.h"
-#include "core/Seeder.h"
-#include "fleet/Traffic.h"
-#include "fleet/WorkloadGen.h"
 #include "frontend/Compiler.h"
 #include "interp/Interpreter.h"
 #include "jit/Jit.h"
 #include "jit/Recorders.h"
-#include "profile/ProfilePackage.h"
 #include "runtime/Builtins.h"
 #include "runtime/ValueOps.h"
-#include "support/Random.h"
-#include "support/StringUtil.h"
 #include "testing/Corpus.h"
 #include "testing/PackageMutator.h"
+#include "testing/ProgramGen.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 using namespace jumpstart;
-
-namespace {
-
-/// Generates random well-formed programs.
-class ProgramFuzzer {
-public:
-  explicit ProgramFuzzer(uint64_t Seed) : R(Seed) {}
-
-  std::string generate() {
-    Source.clear();
-    NumFuncs = 2 + static_cast<int>(R.nextBelow(5));
-    genClass();
-    for (int F = 0; F < NumFuncs; ++F)
-      genFunction(F);
-    return Source;
-  }
-
-private:
-  /// Variables in scope for the function currently being generated.
-  std::vector<std::string> Vars;
-
-  void genClass() {
-    Source += "class Box {\n  prop $a; prop $b; prop $c;\n"
-              "  method set($v) { $this->a = $v; $this->b = $v * 2; "
-              "return $this; }\n"
-              "  method get() { return $this->a + $this->b; }\n}\n";
-  }
-
-  std::string randVar() {
-    if (Vars.empty())
-      return "$unset"; // reads as null: legal
-    return Vars[R.nextBelow(Vars.size())];
-  }
-
-  /// A random expression of bounded depth.  All constructs are legal in
-  /// any context; type errors at runtime are intentional (they must
-  /// fault, not crash).
-  std::string genExpr(int Depth) {
-    if (Depth <= 0 || R.nextBool(0.3)) {
-      switch (R.nextBelow(6)) {
-      case 0:
-        return strFormat("%d", static_cast<int>(R.nextBelow(100)));
-      case 1:
-        return strFormat("%d.5", static_cast<int>(R.nextBelow(9)));
-      case 2:
-        return "\"s" + std::to_string(R.nextBelow(10)) + "\"";
-      case 3:
-        return R.nextBool(0.5) ? "true" : "null";
-      default:
-        return randVar();
-      }
-    }
-    switch (R.nextBelow(8)) {
-    case 0: {
-      const char *Ops[] = {"+", "-", "*", "/", "%", ".",
-                           "==", "!=", "<", "<=", ">", ">="};
-      return "(" + genExpr(Depth - 1) + " " +
-             Ops[R.nextBelow(sizeof(Ops) / sizeof(Ops[0]))] + " " +
-             genExpr(Depth - 1) + ")";
-    }
-    case 1:
-      return "(" + genExpr(Depth - 1) +
-             (R.nextBool(0.5) ? " && " : " || ") + genExpr(Depth - 1) +
-             ")";
-    case 2:
-      return "(!" + genExpr(Depth - 1) + ")";
-    case 3:
-      return "vec[" + genExpr(Depth - 1) + ", " + genExpr(Depth - 1) +
-             "]";
-    case 4:
-      return "dict[\"k\" => " + genExpr(Depth - 1) + "]";
-    case 5:
-      return genExpr(Depth - 1) + "[" + genExpr(Depth - 1) + "]";
-    case 6:
-      // A call to an already-generated function (acyclic by index).
-      if (CurrentFunc > 0) {
-        int Callee = static_cast<int>(R.nextBelow(CurrentFunc));
-        return strFormat("f%d(%s)", Callee, genExpr(Depth - 1).c_str());
-      }
-      return "abs(" + genExpr(Depth - 1) + ")";
-    default:
-      return "new Box()->set(" + genExpr(Depth - 1) + ")->get()";
-    }
-  }
-
-  void genStmt(int Depth, int Indent) {
-    std::string Pad(static_cast<size_t>(Indent) * 2, ' ');
-    switch (R.nextBelow(Depth > 0 ? 5 : 2)) {
-    case 0: {
-      std::string V = strFormat("$v%d", static_cast<int>(R.nextBelow(6)));
-      Source += Pad + V + " = " + genExpr(2) + ";\n";
-      Vars.push_back(V);
-      return;
-    }
-    case 1:
-      Source += Pad + "print(to_str(" + genExpr(1) + "));\n";
-      return;
-    case 2: {
-      Source += Pad + "if (" + genExpr(1) + ") {\n";
-      genStmt(Depth - 1, Indent + 1);
-      Source += Pad + "} else {\n";
-      genStmt(Depth - 1, Indent + 1);
-      Source += Pad + "}\n";
-      return;
-    }
-    case 3: {
-      // Loops are always bounded by construction.
-      std::string I = strFormat("$i%d", Indent);
-      Source += Pad + I + " = 0;\n";
-      Source += Pad + "while (" + I + " < " +
-                std::to_string(1 + R.nextBelow(6)) + ") {\n";
-      genStmt(Depth - 1, Indent + 1);
-      Source += Pad + "  " + I + " = " + I + " + 1;\n";
-      Source += Pad + "}\n";
-      Vars.push_back(I);
-      return;
-    }
-    default:
-      Source += Pad + "if (" + genExpr(1) + ") { return " + genExpr(2) +
-                "; }\n";
-      return;
-    }
-  }
-
-  void genFunction(int Index) {
-    CurrentFunc = Index;
-    Vars = {"$x"};
-    Source += strFormat("function f%d($x) {\n", Index);
-    int Stmts = 2 + static_cast<int>(R.nextBelow(5));
-    for (int S = 0; S < Stmts; ++S)
-      genStmt(2, 1);
-    Source += "  return " + genExpr(2) + ";\n}\n";
-  }
-
-  Rng R;
-  std::string Source;
-  int NumFuncs = 0;
-  int CurrentFunc = 0;
-};
-
-} // namespace
+namespace jstest = jumpstart::testing;
 
 class FuzzPipeline : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FuzzPipeline, CompileVerifyExecute) {
-  ProgramFuzzer Fuzzer(GetParam());
-  std::string Source = Fuzzer.generate();
+  std::string Source =
+      jstest::generateProgram({.Seed = GetParam()}).render();
 
   bc::Repo Repo;
   const runtime::BuiltinTable &Builtins = runtime::BuiltinTable::standard();
@@ -257,8 +111,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline,
 // is pinned forever.  tests/CorpusReplayTest.cpp replays every checked-in
 // entry on every run.
 //===----------------------------------------------------------------------===//
-
-namespace jstest = jumpstart::testing;
 
 namespace {
 

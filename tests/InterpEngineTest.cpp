@@ -21,6 +21,8 @@
 
 #include "TestHelpers.h"
 
+#include "bytecode/FuncBuilder.h"
+#include "bytecode/Verifier.h"
 #include "interp/InterpCache.h"
 #include "runtime/ValueOps.h"
 #include "support/StringUtil.h"
@@ -305,8 +307,9 @@ TEST(InterpEngine, ExecInfoRunLengthsAndMaxStack) {
                     "}");
   ASSERT_TRUE(Vm.ok());
   const bc::Function &F = Vm.Repo.func(Vm.Repo.findFunction("main"));
-  interp::FuncExecInfo Info = interp::computeExecInfo(F);
-  ASSERT_TRUE(Info.HasStaticStack);
+  interp::FuncExecInfo Info =
+      interp::computeExecInfo(Vm.Repo, F, Vm.Builtins.size());
+  ASSERT_TRUE(Info.Verified);
   ASSERT_EQ(Info.RunLen.size(), F.Code.size());
   // Every run length is >= 1, and positions followed by a non-run-ending
   // instruction extend the successor's run by exactly one.
@@ -322,34 +325,77 @@ TEST(InterpEngine, ExecInfoRunLengthsAndMaxStack) {
     else
       EXPECT_EQ(Info.RunLen[I], Info.RunLen[I + 1] + 1) << "at " << I;
   }
+  // Frames are sized by the verifier's own stack-depth bound.
+  uint32_t VerifierMax = 0;
+  ASSERT_TRUE(bc::verifyFunctionIssues(Vm.Repo, F, Vm.Builtins.size(),
+                                       &VerifierMax)
+                  .empty());
+  EXPECT_EQ(Info.MaxStack, VerifierMax);
   // `1 + 2 * 3` needs at least three simultaneous stack slots.
   EXPECT_GE(Info.MaxStack, 3u);
   EXPECT_LE(Info.MaxStack, 16u);
 }
 
-TEST(InterpEngine, UnsoundFunctionFallsBackToLegacy) {
-  // A function whose last instruction can fall off the end fails the
-  // static analysis; the fast engine must refuse it (and the interpreter
-  // then runs it on the legacy engine, which tolerates anything).
-  bc::Function F;
-  F.NumLocals = 1;
-  bc::Instr Nop;
-  Nop.Opcode = bc::Op::Nop;
-  F.Code = {Nop};
-  interp::FuncExecInfo Info = interp::computeExecInfo(F);
-  EXPECT_FALSE(Info.HasStaticStack);
+TEST(InterpEngine, UnverifiedFunctionsFaultOnBothEngines) {
+  // Bytecode the verifier rejects never reaches either engine's loop: a
+  // call to it faults (Null result, one fault, no steps) before a frame
+  // exists.  The underflow and bad-string cases used to trip asserts in
+  // the legacy loop and in Repo::str.
+  bc::Repo Repo;
+  bc::Unit &U = Repo.createUnit("unverified");
+  auto Assemble = [&](const char *Name, auto Emit) {
+    bc::Function &F = Repo.createFunction(U, Name);
+    bc::FuncBuilder B(F);
+    Emit(B);
+    B.finish();
+    return F.Id;
+  };
+  bc::FuncId Underflow = Assemble("underflow", [](bc::FuncBuilder &B) {
+    B.emit(bc::Op::Add);
+    B.emit(bc::Op::RetC);
+  });
+  bc::FuncId BadStr = Assemble("bad_str", [](bc::FuncBuilder &B) {
+    B.emit(bc::Op::Str, 999);
+    B.emit(bc::Op::RetC);
+  });
+  bc::FuncId FallOff = Assemble(
+      "fall_off", [](bc::FuncBuilder &B) { B.emit(bc::Op::Nop); });
+  // A verified caller reaches the same refusal through a call site.
+  bc::FuncId Caller = Assemble("caller", [&](bc::FuncBuilder &B) {
+    B.emit(bc::Op::FCall, Underflow.raw(), 0);
+    B.emit(bc::Op::RetC);
+  });
 
-  // Out-of-range local index: same verdict.
-  bc::Function G;
-  G.NumLocals = 1;
-  bc::Instr Get;
-  Get.Opcode = bc::Op::GetL;
-  Get.ImmA = 9; // only local 0 exists
-  bc::Instr Ret;
-  Ret.Opcode = bc::Op::RetC;
-  G.Code = {Get, Ret};
-  interp::FuncExecInfo GInfo = interp::computeExecInfo(G);
-  EXPECT_FALSE(GInfo.HasStaticStack);
+  std::string Logs[2];
+  for (bool Observe : {false, true}) {
+    for (interp::InterpEngine E :
+         {interp::InterpEngine::Fast, interp::InterpEngine::Legacy}) {
+      runtime::ClassTable Classes(Repo);
+      runtime::Heap Heap;
+      interp::InterpOptions Opts;
+      Opts.Engine = E;
+      interp::Interpreter Interp(Repo, Classes, Heap,
+                                 runtime::BuiltinTable::standard(), Opts);
+      RecordingCallbacks CB;
+      if (Observe)
+        Interp.setCallbacks(&CB);
+      for (bc::FuncId F : {Underflow, BadStr, FallOff, Caller}) {
+        std::string Where = strFormat(
+            "%s engine %s callbacks %d", Repo.func(F).Name.c_str(),
+            E == interp::InterpEngine::Fast ? "fast" : "legacy", Observe);
+        interp::InterpResult R = Interp.call(F, {});
+        EXPECT_TRUE(R.Ret.isNull()) << Where;
+        EXPECT_EQ(R.Faults, 1u) << Where;
+        EXPECT_EQ(R.Steps, F == Caller ? 2u : 0u) << Where;
+        EXPECT_TRUE(R.Ok) << Where;
+      }
+      if (Observe)
+        Logs[E == interp::InterpEngine::Fast ? 0 : 1] = CB.Log;
+    }
+  }
+  EXPECT_EQ(Logs[0], Logs[1]);
+  EXPECT_NE(Logs[0].find("enter " + std::to_string(Caller.raw())),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
