@@ -59,11 +59,6 @@ struct ConsumerOutcome {
   std::vector<support::Status> Rejections;
 };
 
-/// Applies the Jump-Start optimization switches of \p Opts to a server
-/// configuration (used by consumers and by the Figure 6 ablation).
-void applyOptimizationOptions(vm::ServerConfig &Config,
-                              const JumpStartOptions &Opts);
-
 /// Runs the whole-program analysis over \p R and attaches the distilled
 /// JIT facts to \p Config.  No-op unless ProvenGuardElision is enabled
 /// and no facts are attached yet, so callers can pre-attach a shared
@@ -72,6 +67,9 @@ void applyOptimizationOptions(vm::ServerConfig &Config,
 void attachProvenFacts(vm::ServerConfig &Config, const bc::Repo &R);
 
 /// Boots one consumer against \p Manager with full fallback behaviour.
+/// Every engine switch comes from \p BaseConfig unchanged (only Obs, Name
+/// and the proven facts are filled in); \p Opts supplies the workflow
+/// knobs.
 /// \p Obs (optional) receives per-reason package rejection counters, the
 /// accept counter, and the consumer's server/JIT spans.
 ConsumerOutcome startConsumer(const fleet::Workload &W,

@@ -7,10 +7,11 @@
 
 #include "core/JumpStartOptions.h"
 
-#include "support/Assert.h"
 #include "support/StringUtil.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 
 using namespace jumpstart;
 using namespace jumpstart::core;
@@ -19,14 +20,11 @@ using support::StatusCode;
 
 std::vector<std::string> JumpStartOptions::validate() const {
   std::vector<std::string> Diags;
-  if (AffinityPropertyOrder && !PropertyReordering)
-    Diags.push_back("affinity_property_order requires property_reordering "
-                    "(affinity ordering is a refinement of the hotness "
-                    "reordering machinery)");
   if (Enabled && MaxConsumerAttempts == 0)
     Diags.push_back("max_consumer_attempts must be >= 1 when Jump-Start is "
                     "enabled (consumers need at least one attempt)");
-  if (MaxValidationFaultRate < 0 || MaxValidationFaultRate > 1)
+  // Negated so NaN fails too.
+  if (!(MaxValidationFaultRate >= 0 && MaxValidationFaultRate <= 1))
     Diags.push_back(strFormat(
         "max_validation_fault_rate must be in [0, 1], got %g",
         MaxValidationFaultRate));
@@ -54,17 +52,22 @@ Status parseBool(std::string_view Key, std::string_view Value, bool &Out) {
       static_cast<int>(Value.size()), Value.data());
 }
 
+/// Plain decimal digits only: no sign, no whitespace, and the value must
+/// fit \p UIntT ("-1" and 4294967296 into a uint32_t are errors, not
+/// wrapped or truncated values).
 template <typename UIntT>
 Status parseUInt(std::string_view Key, std::string_view Value, UIntT &Out) {
-  std::string S(Value);
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S.c_str(), &End, 10);
-  if (S.empty() || End != S.c_str() + S.size())
+  const char *Last = Value.data() + Value.size();
+  UIntT V = 0;
+  auto [End, Err] = std::from_chars(Value.data(), Last, V);
+  if (Err != std::errc() || End != Last)
     return support::errorStatus(
         StatusCode::InvalidArgument,
-        "%.*s: expected an unsigned integer, got \"%s\"",
-        static_cast<int>(Key.size()), Key.data(), S.c_str());
-  Out = static_cast<UIntT>(V);
+        "%.*s: expected an unsigned integer in [0, %llu], got \"%.*s\"",
+        static_cast<int>(Key.size()), Key.data(),
+        static_cast<unsigned long long>(std::numeric_limits<UIntT>::max()),
+        static_cast<int>(Value.size()), Value.data());
+  Out = V;
   return Status::okStatus();
 }
 
@@ -87,14 +90,6 @@ Status parseDouble(std::string_view Key, std::string_view Value,
 Status JumpStartOptions::set(std::string_view Key, std::string_view Value) {
   if (Key == "enabled")
     return parseBool(Key, Value, Enabled);
-  if (Key == "vasm_block_counters")
-    return parseBool(Key, Value, VasmBlockCounters);
-  if (Key == "function_order")
-    return parseBool(Key, Value, FunctionOrder);
-  if (Key == "property_reordering")
-    return parseBool(Key, Value, PropertyReordering);
-  if (Key == "affinity_property_order")
-    return parseBool(Key, Value, AffinityPropertyOrder);
   if (Key == "max_consumer_attempts")
     return parseUInt(Key, Value, MaxConsumerAttempts);
   if (Key == "strict_package_lint")
@@ -103,12 +98,6 @@ Status JumpStartOptions::set(std::string_view Key, std::string_view Value) {
     return parseUInt(Key, Value, ValidationRequests);
   if (Key == "max_validation_fault_rate")
     return parseDouble(Key, Value, MaxValidationFaultRate);
-  if (Key == "parallelism")
-    return parseUInt(Key, Value, Parallelism);
-  if (Key == "precompile_live_code")
-    return parseBool(Key, Value, PrecompileLiveCode);
-  if (Key == "proven_guard_elision")
-    return parseBool(Key, Value, ProvenGuardElision);
   if (Key == "min_profiled_funcs")
     return parseUInt(Key, Value, Coverage.MinProfiledFuncs);
   if (Key == "min_total_samples")
@@ -152,10 +141,6 @@ JumpStartOptions::toKeyValues() const {
   auto B = [](bool V) { return std::string(V ? "true" : "false"); };
   std::vector<std::pair<std::string, std::string>> KVs;
   KVs.emplace_back("enabled", B(Enabled));
-  KVs.emplace_back("vasm_block_counters", B(VasmBlockCounters));
-  KVs.emplace_back("function_order", B(FunctionOrder));
-  KVs.emplace_back("property_reordering", B(PropertyReordering));
-  KVs.emplace_back("affinity_property_order", B(AffinityPropertyOrder));
   KVs.emplace_back("max_consumer_attempts",
                    strFormat("%u", MaxConsumerAttempts));
   KVs.emplace_back("strict_package_lint", B(StrictPackageLint));
@@ -163,9 +148,6 @@ JumpStartOptions::toKeyValues() const {
                    strFormat("%u", ValidationRequests));
   KVs.emplace_back("max_validation_fault_rate",
                    strFormat("%g", MaxValidationFaultRate));
-  KVs.emplace_back("parallelism", strFormat("%u", Parallelism));
-  KVs.emplace_back("precompile_live_code", B(PrecompileLiveCode));
-  KVs.emplace_back("proven_guard_elision", B(ProvenGuardElision));
   KVs.emplace_back("min_profiled_funcs",
                    strFormat("%zu", Coverage.MinProfiledFuncs));
   KVs.emplace_back(
@@ -175,79 +157,4 @@ JumpStartOptions::toKeyValues() const {
   KVs.emplace_back("min_package_bytes",
                    strFormat("%zu", Coverage.MinPackageBytes));
   return KVs;
-}
-
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::enabled(bool V) {
-  Opts.Enabled = V;
-  return *this;
-}
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::vasmBlockCounters(bool V) {
-  Opts.VasmBlockCounters = V;
-  return *this;
-}
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::functionOrder(bool V) {
-  Opts.FunctionOrder = V;
-  return *this;
-}
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::propertyReordering(bool V) {
-  Opts.PropertyReordering = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::affinityPropertyOrder(bool V) {
-  Opts.AffinityPropertyOrder = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::maxConsumerAttempts(uint32_t V) {
-  Opts.MaxConsumerAttempts = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::coverage(const profile::CoverageThresholds &V) {
-  Opts.Coverage = V;
-  return *this;
-}
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::strictPackageLint(bool V) {
-  Opts.StrictPackageLint = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::validationRequests(uint32_t V) {
-  Opts.ValidationRequests = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::maxValidationFaultRate(double V) {
-  Opts.MaxValidationFaultRate = V;
-  return *this;
-}
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::parallelism(uint32_t V) {
-  Opts.Parallelism = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::precompileLiveCode(bool V) {
-  Opts.PrecompileLiveCode = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::provenGuardElision(bool V) {
-  Opts.ProvenGuardElision = V;
-  return *this;
-}
-
-Status JumpStartOptionsBuilder::tryBuild(JumpStartOptions &Out) const {
-  std::vector<std::string> Diags = Opts.validate();
-  if (!Diags.empty())
-    return Status::error(StatusCode::FailedPrecondition, Diags.front());
-  Out = Opts;
-  return Status::okStatus();
-}
-
-JumpStartOptions JumpStartOptionsBuilder::build() const {
-  JumpStartOptions Out;
-  Status S = tryBuild(Out);
-  alwaysAssert(S.ok(), "JumpStartOptionsBuilder: invalid options");
-  return Out;
 }

@@ -43,6 +43,9 @@ using namespace jumpstart;
 using namespace jumpstart::interp;
 using runtime::Value;
 
+/// Frames deeper than this abort the request (Result.Ok = false).
+static constexpr uint32_t kMaxCallDepth = 200;
+
 #if defined(__GNUC__) || defined(__clang__)
 #define JUMPSTART_COMPUTED_GOTO 1
 #define JS_UNLIKELY(X) __builtin_expect(!!(X), 0)
@@ -95,7 +98,7 @@ InterpResult Interpreter::call(bc::FuncId F,
 Value Interpreter::execFrame(bc::FuncId FId, const Value *Args,
                              uint32_t NumArgs, Value This, bc::FuncId Caller,
                              uint32_t Depth) {
-  if (Depth >= Opts.MaxCallDepth) {
+  if (Depth >= kMaxCallDepth) {
     Aborted = true;
     return Value::null();
   }
@@ -116,7 +119,7 @@ template <bool Instrumented>
 Value Interpreter::callFast(bc::FuncId FId, const Value *Args,
                             uint32_t NumArgs, Value This, bc::FuncId Caller,
                             uint32_t Depth) {
-  if (Depth >= Opts.MaxCallDepth) {
+  if (Depth >= kMaxCallDepth) {
     Aborted = true;
     return Value::null();
   }

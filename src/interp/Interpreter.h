@@ -63,7 +63,6 @@ enum class InterpEngine : uint8_t {
 /// Interpreter configuration.
 struct InterpOptions {
   uint64_t StepBudget = 100'000'000;
-  uint32_t MaxCallDepth = 200;
   InterpEngine Engine = InterpEngine::Fast;
   /// Test-only fault injection: added to every integer Add result.  The
   /// differential conformance oracle (src/testing) uses a nonzero skew to

@@ -7,6 +7,7 @@
 
 #include "jit/Jit.h"
 
+#include "jit/Region.h"
 #include "layout/FunctionSort.h"
 #include "obs/Observability.h"
 #include "support/Assert.h"
@@ -91,7 +92,7 @@ double Jit::execCostPerBytecode(bc::FuncId F) const {
   const Translation *T = Db.best(F);
   if (T)
     return T->CostPerBytecode;
-  return Config.InterpCostPerBytecode;
+  return kInterpCostPerBytecode;
 }
 
 uint64_t Jit::totalCodeBytes() const {
@@ -192,12 +193,11 @@ std::unique_ptr<VasmUnit> Jit::lowerOptimizedUnit(bc::FuncId F) {
     // never under sharing constraints (direct calls embed addresses).
     const ProvenFacts *Facts =
         Config.ProvenGuardElision ? Config.Facts.get() : nullptr;
-    Region = selectRegion(R, Blocks, Store, F, Config.Region, Facts);
+    Region = selectRegion(R, Blocks, Store, F, Facts);
   }
   LowerOptions Opts;
   Opts.Kind = TransKind::Optimized;
   Opts.SeederInstrumentation = Config.SeederInstrumentation;
-  Opts.TypeMonoThreshold = Config.TypeMonoThreshold;
   Opts.SharedCodeConstraints = Config.ShareJitMode;
   if (Config.ProvenGuardElision && !Config.ShareJitMode)
     Opts.Facts = Config.Facts.get();

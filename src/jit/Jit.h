@@ -34,7 +34,6 @@
 #include "bytecode/Repo.h"
 #include "jit/CodeCache.h"
 #include "jit/Lower.h"
-#include "jit/Region.h"
 #include "jit/TransDb.h"
 #include "jit/TransLayout.h"
 #include "profile/ProfilePackage.h"
@@ -54,13 +53,15 @@ struct Observability;
 
 namespace jumpstart::jit {
 
+/// Cost units per bytecode of a function running in the interpreter, i.e.
+/// without a translation (1 unit ~ 1 simulated cycle).
+inline constexpr double kInterpCostPerBytecode = 25.0;
+
 /// All JIT tunables.  Field-by-field these correspond to HHVM runtime
 /// options; the Jump-Start flags map to the optimizations of paper
 /// section V.
 struct JitConfig {
   CodeCacheConfig Cache;
-  RegionParams Region;
-  double TypeMonoThreshold = 0.95;
 
   /// Requests executed with profiling before retranslate-all fires
   /// (HHVM's ProfileRequests; point "A" of Figure 1).
@@ -75,7 +76,6 @@ struct JitConfig {
   uint32_t Parallelism = 0;
 
   // Cost model (cost units; 1 unit ~ 1 simulated cycle).
-  double InterpCostPerBytecode = 25.0;
   double ProfileCompileCostPerBytecode = 40.0;
   double LiveCompileCostPerBytecode = 30.0;
   double OptCompileCostPerBytecode = 400.0;

@@ -16,15 +16,27 @@ using namespace jumpstart::jit;
 
 namespace {
 
+// Inlining and devirtualization thresholds.
+/// Callees larger than this many bytecodes are never inlined.
+constexpr uint32_t kMaxInlineBytecodes = 48;
+/// Maximum depth of nested inlining.
+constexpr uint32_t kMaxInlineDepth = 1;
+/// Total region budget (function + all inlined bodies).
+constexpr uint32_t kMaxRegionBytecodes = 4000;
+/// A call site must execute at least this fraction of the function entry
+/// count to be worth inlining.
+constexpr double kMinSiteFrequency = 0.35;
+/// A virtual site devirtualizes when one target covers this fraction of
+/// its call-target profile.
+constexpr double kCallTargetMonoThreshold = 0.95;
+
 /// Recursive inline planner.
 class InlinePlanner {
 public:
   InlinePlanner(const bc::Repo &R, bc::BlockCache &Blocks,
-                const profile::ProfileStore &Store,
-                const RegionParams &Params, const ProvenFacts *Facts,
+                const profile::ProfileStore &Store, const ProvenFacts *Facts,
                 RegionDescriptor &Out)
-      : R(R), Blocks(Blocks), Store(Store), Params(Params), Facts(Facts),
-        Out(Out) {}
+      : R(R), Blocks(Blocks), Store(Store), Facts(Facts), Out(Out) {}
 
   void plan(bc::FuncId F, uint32_t Depth) {
     const profile::FuncProfile *Prof = Store.find(F.raw());
@@ -61,7 +73,7 @@ private:
                                           : bc::FuncId(It->second.Target);
   }
 
-  /// \returns the callee covering CallTargetMonoThreshold of the site's
+  /// \returns the callee covering kCallTargetMonoThreshold of the site's
   /// profile, or an invalid id.
   bc::FuncId dominantTarget(const profile::FuncProfile &Prof,
                             uint32_t Pc) const {
@@ -81,7 +93,7 @@ private:
     if (Total == 0)
       return bc::FuncId();
     if (static_cast<double>(BestCount) <
-        Params.CallTargetMonoThreshold * static_cast<double>(Total))
+        kCallTargetMonoThreshold * static_cast<double>(Total))
       return bc::FuncId();
     return bc::FuncId(Best);
   }
@@ -91,16 +103,15 @@ private:
   bool considerInline(bc::FuncId Caller, uint32_t Pc, bc::FuncId Callee,
                       const profile::FuncProfile *CallerProf,
                       const bc::BlockList &BL, uint32_t Depth) {
-    if (Depth >= Params.MaxInlineDepth)
+    if (Depth >= kMaxInlineDepth)
       return false;
     if (Callee == Out.Func || Callee == Caller)
       return false; // no recursive inlining
     const bc::Function &CalleeFunc = R.func(Callee);
     if (CalleeFunc.Code.empty() ||
-        CalleeFunc.Code.size() > Params.MaxInlineBytecodes)
+        CalleeFunc.Code.size() > kMaxInlineBytecodes)
       return false;
-    if (Out.TotalBytecodes + CalleeFunc.Code.size() >
-        Params.MaxRegionBytecodes)
+    if (Out.TotalBytecodes + CalleeFunc.Code.size() > kMaxRegionBytecodes)
       return false;
     // The callee must itself be profiled: the region compiler only forms
     // non-trivial regions where it has data (paper section V-B).
@@ -111,8 +122,7 @@ private:
         BL.numBlocks() == CallerProf->BlockCounts.size()) {
       uint64_t SiteCount = CallerProf->BlockCounts[BL.blockOf(Pc)];
       if (static_cast<double>(SiteCount) <
-          Params.MinSiteFrequency *
-              static_cast<double>(CallerProf->EntryCount))
+          kMinSiteFrequency * static_cast<double>(CallerProf->EntryCount))
         return false;
     }
     // Each function is inlined at most once per region (the shadow
@@ -131,7 +141,6 @@ private:
   const bc::Repo &R;
   bc::BlockCache &Blocks;
   const profile::ProfileStore &Store;
-  const RegionParams &Params;
   const ProvenFacts *Facts;
   RegionDescriptor &Out;
 };
@@ -142,12 +151,11 @@ RegionDescriptor jumpstart::jit::selectRegion(const bc::Repo &R,
                                               bc::BlockCache &Blocks,
                                               const profile::ProfileStore &S,
                                               bc::FuncId Func,
-                                              const RegionParams &Params,
                                               const ProvenFacts *Facts) {
   RegionDescriptor Out;
   Out.Func = Func;
   Out.TotalBytecodes = static_cast<uint32_t>(R.func(Func).Code.size());
-  InlinePlanner Planner(R, Blocks, S, Params, Facts, Out);
+  InlinePlanner Planner(R, Blocks, S, Facts, Out);
   Planner.plan(Func, /*Depth=*/0);
   return Out;
 }

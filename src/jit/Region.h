@@ -32,22 +32,6 @@
 
 namespace jumpstart::jit {
 
-/// Inlining and devirtualization thresholds.
-struct RegionParams {
-  /// Callees larger than this many bytecodes are never inlined.
-  uint32_t MaxInlineBytecodes = 48;
-  /// Maximum depth of nested inlining.
-  uint32_t MaxInlineDepth = 1;
-  /// Total region budget (function + all inlined bodies).
-  uint32_t MaxRegionBytecodes = 4000;
-  /// A call site must execute at least this fraction of the function
-  /// entry count to be worth inlining.
-  double MinSiteFrequency = 0.35;
-  /// A virtual site devirtualizes when one target covers this fraction of
-  /// its call-target profile.
-  double CallTargetMonoThreshold = 0.95;
-};
-
 /// The region compiler's plan for one function.
 struct RegionDescriptor {
   bc::FuncId Func;
@@ -90,7 +74,6 @@ struct RegionDescriptor {
 RegionDescriptor selectRegion(const bc::Repo &R, bc::BlockCache &Blocks,
                               const profile::ProfileStore &Store,
                               bc::FuncId Func,
-                              const RegionParams &Params = RegionParams(),
                               const ProvenFacts *Facts = nullptr);
 
 } // namespace jumpstart::jit

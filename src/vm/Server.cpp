@@ -20,6 +20,17 @@
 using namespace jumpstart;
 using namespace jumpstart::vm;
 
+/// Virtual cost of deserializing a profile package, per byte.
+static constexpr double kDeserializeCostPerByte = 2.0;
+/// Runtime-warmup friction: early requests pay a penalty that decays with
+/// requests served, modelling the warmup effects outside the JIT (data
+/// caches, backend connections, OS page cache).  The cost multiplier is
+/// 1 + kRuntimeWarmupPenalty * exp(-served / kRuntimeWarmupTau).  The
+/// paper's Figure 4a shows even Jump-Start servers start ~3x their
+/// steady-state latency and converge by ~150s.
+static constexpr double kRuntimeWarmupPenalty = 3.0;
+static constexpr double kRuntimeWarmupTau = 300;
+
 namespace jumpstart::vm {
 
 /// Extends the JIT's profiling hooks with server concerns: first-touch
@@ -67,8 +78,8 @@ Server::Server(const bc::Repo &R, ServerConfig Config, uint64_t Seed)
     JitTrack = Obs->Trace.allocTrack(this->Config.Name + "/jit");
     // JIT job costs convert to wall time at the worker pool's aggregate
     // rate.
-    double PoolRate = this->Config.UnitsPerCorePerSecond *
-                      std::max(1u, this->Config.JitWorkerCores);
+    double PoolRate =
+        kUnitsPerCorePerSecond * std::max(1u, this->Config.JitWorkerCores);
     TheJit.setObservability(Obs, 1.0 / PoolRate, JitTrack);
   }
 }
@@ -148,12 +159,10 @@ Server::runOnContext(ExecContext &Ctx, bc::FuncId F,
     Units += static_cast<double>(Ctx.InstrCounts[FuncRaw]) *
              CostPerBytecode(FuncRaw);
   }
-  // Runtime-warmup friction (see ServerConfig::RuntimeWarmupPenalty).
-  if (Config.RuntimeWarmupPenalty > 0 && Config.RuntimeWarmupTau > 0) {
-    double Decay = std::exp(-static_cast<double>(DecayIndex) /
-                            Config.RuntimeWarmupTau);
-    Units *= 1.0 + Config.RuntimeWarmupPenalty * Decay;
-  }
+  // Runtime-warmup friction (see kRuntimeWarmupPenalty).
+  double Decay =
+      std::exp(-static_cast<double>(DecayIndex) / kRuntimeWarmupTau);
+  Units *= 1.0 + kRuntimeWarmupPenalty * Decay;
   Res.Seconds = unitsToSeconds(Units);
   return Res;
 }
@@ -194,11 +203,9 @@ double Server::grantJitTime(double Seconds) {
   alwaysAssert(!Serving.load(std::memory_order_acquire),
                "grantJitTime() is the serial path; use "
                "runBackgroundJitWork() inside a concurrent-serving window");
-  double Budget = Seconds * Config.JitWorkerCores *
-                  Config.UnitsPerCorePerSecond;
+  double Budget = Seconds * Config.JitWorkerCores * kUnitsPerCorePerSecond;
   double Consumed = TheJit.runJitWork(Budget);
-  double Wall =
-      Consumed / (Config.JitWorkerCores * Config.UnitsPerCorePerSecond);
+  double Wall = Consumed / (Config.JitWorkerCores * kUnitsPerCorePerSecond);
   // Background compilation moves the clock too, so JIT job spans land on
   // a timeline even when no tick loop is driving it (e.g. runSeeder).
   if (Obs)
@@ -302,7 +309,7 @@ InitStats Server::startup() {
   // parallel.
   Stats.UsedJumpStart = true;
   Stats.DeserializeSeconds = unitsToSeconds(
-      static_cast<double>(PackageBytes) * Config.DeserializeCostPerByte);
+      static_cast<double>(PackageBytes) * kDeserializeCostPerByte);
   if (Obs) {
     Obs->Trace.completeSpan("deserialize-package", "package", ServerTrack,
                             Obs->Clock.now(), Stats.DeserializeSeconds);
@@ -346,7 +353,7 @@ InitStats Server::startup() {
                  "package passed lint but failed profile install");
     jit::ParallelRetranslate Driver(TheJit, Config.CompilePool);
     jit::RetranslateStats RStats =
-        Driver.run(16.0 * Config.UnitsPerCorePerSecond, [&](double Step) {
+        Driver.run(16.0 * kUnitsPerCorePerSecond, [&](double Step) {
           PrecompileUnits += Step;
           if (Obs)
             Obs->Clock.advance(unitsToSeconds(Step) / VirtK);

@@ -84,27 +84,19 @@ struct AdmissionConfig {
   Policy OnOverload = Policy::Block;
 };
 
+/// Cost units one core retires per virtual second.
+inline constexpr double kUnitsPerCorePerSecond = 2.0e6;
+
 /// Server configuration (the evaluation hardware of paper section VII is
-/// a 16-core Xeon D-1581).  Build literally, or through
-/// ServerConfigBuilder for validation at construction time.
+/// a 16-core Xeon D-1581).  Build literally and check with
+/// validateServerConfig, or through ServerConfigBuilder.  See DESIGN.md
+/// "Options layering" for which struct owns which knob.
 struct ServerConfig {
   uint32_t Cores = 16;
   /// Background JIT worker threads while serving.
   uint32_t JitWorkerCores = 3;
-  /// Cost units one core retires per virtual second.
-  double UnitsPerCorePerSecond = 2.0e6;
   /// Virtual cost of loading one unit's metadata on first touch.
   double UnitLoadCost = 40000;
-  /// Virtual cost of deserializing a profile package, per byte.
-  double DeserializeCostPerByte = 2.0;
-  /// Runtime-warmup friction: early requests pay a penalty that decays
-  /// with requests served, modelling the warmup effects outside the JIT
-  /// (data caches, backend connections, OS page cache).  Cost multiplier
-  /// is 1 + RuntimeWarmupPenalty * exp(-served / RuntimeWarmupTau).
-  /// The paper's Figure 4a shows even Jump-Start servers start ~3x their
-  /// steady-state latency and converge by ~150s.
-  double RuntimeWarmupPenalty = 3.0;
-  double RuntimeWarmupTau = 300;
   jit::JitConfig Jit;
   interp::InterpOptions Interp;
   /// Enable the object-property-reordering optimization when a package
@@ -112,7 +104,8 @@ struct ServerConfig {
   bool ReorderProperties = true;
   /// Order properties by co-access affinity instead of plain hotness
   /// (the section V-C future-work extension; needs a package carrying
-  /// affinity counters).
+  /// affinity counters).  A refinement of the hotness reordering, so it
+  /// requires ReorderProperties.
   bool UseAffinityPropOrder = false;
   /// Execution contexts available to serve() during concurrent serving.
   /// Each owns its own heap + interpreter; 1 keeps concurrent serving
@@ -139,40 +132,20 @@ struct ServerConfig {
   support::ThreadPool *CompilePool = nullptr;
 };
 
-/// All structural complaints about \p C, empty when it is coherent.
-/// Mirrors JumpStartOptions::validate(); each diagnostic names the field
-/// it is about.
+/// All structural complaints about \p C, empty when it is coherent; each
+/// diagnostic names the field it is about.
 std::vector<std::string> validateServerConfig(const ServerConfig &C);
 
-/// Fluent construction with validation: invalid core/worker/admission
-/// settings surface at build time as failed_precondition instead of as
-/// divide-by-zero or deadlock mid-run.  See DESIGN.md "Options layering"
-/// for how this relates to core::JumpStartOptions (policy knobs) --
-/// ServerConfig is the mechanism layer underneath it.
+/// Fluent construction with validation for the harnesses that size a
+/// server from the command line: invalid core/worker settings surface at
+/// build time as failed_precondition instead of as divide-by-zero or
+/// deadlock mid-run.  Everything else is set on the built struct.
 class ServerConfigBuilder {
 public:
-  ServerConfigBuilder() = default;
-  /// Starts from an existing config (e.g. one produced by
-  /// applyOptimizationOptions) to validate or adjust it.
-  explicit ServerConfigBuilder(ServerConfig Base) : C(std::move(Base)) {}
-
   ServerConfigBuilder &cores(uint32_t V);
   ServerConfigBuilder &jitWorkerCores(uint32_t V);
-  ServerConfigBuilder &unitsPerCorePerSecond(double V);
-  ServerConfigBuilder &unitLoadCost(double V);
-  ServerConfigBuilder &deserializeCostPerByte(double V);
-  ServerConfigBuilder &runtimeWarmup(double Penalty, double Tau);
-  ServerConfigBuilder &jit(jit::JitConfig V);
-  ServerConfigBuilder &interp(interp::InterpOptions V);
-  ServerConfigBuilder &reorderProperties(bool V);
-  ServerConfigBuilder &useAffinityPropOrder(bool V);
   ServerConfigBuilder &serveWorkers(uint32_t V);
-  ServerConfigBuilder &maxInFlight(uint32_t V);
-  ServerConfigBuilder &onOverload(AdmissionConfig::Policy V);
-  ServerConfigBuilder &warmupEndpoints(std::vector<uint32_t> V);
-  ServerConfigBuilder &observability(obs::Observability *V);
   ServerConfigBuilder &name(std::string V);
-  ServerConfigBuilder &compilePool(support::ThreadPool *V);
 
   /// \returns the built config; asserts it validates.
   ServerConfig build() const;
@@ -335,7 +308,7 @@ public:
   //===--------------------------------------------------------------------===
 
   double secondsPerUnit() const {
-    return 1.0 / Config.UnitsPerCorePerSecond;
+    return 1.0 / kUnitsPerCorePerSecond;
   }
 
   jit::Jit &theJit() { return TheJit; }
@@ -386,7 +359,7 @@ private:
   };
 
   double unitsToSeconds(double Units) const {
-    return Units / Config.UnitsPerCorePerSecond;
+    return Units / kUnitsPerCorePerSecond;
   }
   /// Charges first-touch unit loading for everything \p F needs.
   double loadUnitsFor(bc::FuncId F);

@@ -163,11 +163,9 @@ double Server::runBackgroundJitWork(double Seconds) {
   // digests stay byte-identical to the pool-less path.
   if (Config.CompilePool && TheJit.hasPendingWork())
     jit::ParallelRetranslate::prelowerPending(TheJit, Config.CompilePool);
-  double Budget = Seconds * Config.JitWorkerCores *
-                  Config.UnitsPerCorePerSecond;
+  double Budget = Seconds * Config.JitWorkerCores * kUnitsPerCorePerSecond;
   double Consumed = TheJit.runJitWork(Budget);
-  double Wall =
-      Consumed / (Config.JitWorkerCores * Config.UnitsPerCorePerSecond);
+  double Wall = Consumed / (Config.JitWorkerCores * kUnitsPerCorePerSecond);
   // This thread is the window's sole observability writer; the clock
   // tracks compilation progress only (request threads never touch it).
   if (Obs)

@@ -22,17 +22,12 @@ std::vector<std::string> validateServerConfig(const ServerConfig &C) {
   if (C.JitWorkerCores < 1)
     Diags.push_back(
         "JitWorkerCores must be >= 1 (grantJitTime divides by it)");
-  if (!(C.UnitsPerCorePerSecond > 0))
-    Diags.push_back("UnitsPerCorePerSecond must be > 0");
   if (C.UnitLoadCost < 0)
     Diags.push_back("UnitLoadCost must be >= 0");
-  if (C.DeserializeCostPerByte < 0)
-    Diags.push_back("DeserializeCostPerByte must be >= 0");
-  if (C.RuntimeWarmupPenalty < 0)
-    Diags.push_back("RuntimeWarmupPenalty must be >= 0");
-  if (C.RuntimeWarmupPenalty > 0 && !(C.RuntimeWarmupTau > 0))
-    Diags.push_back(
-        "RuntimeWarmupTau must be > 0 when RuntimeWarmupPenalty is set");
+  if (C.UseAffinityPropOrder && !C.ReorderProperties)
+    Diags.push_back("UseAffinityPropOrder requires ReorderProperties "
+                    "(affinity ordering is a refinement of the hotness "
+                    "reordering machinery)");
   if (C.ServeWorkers < 1)
     Diags.push_back("ServeWorkers must be >= 1");
   if (C.Admission.MaxInFlight != 0 &&
@@ -54,68 +49,12 @@ ServerConfigBuilder &ServerConfigBuilder::jitWorkerCores(uint32_t V) {
   C.JitWorkerCores = V;
   return *this;
 }
-ServerConfigBuilder &ServerConfigBuilder::unitsPerCorePerSecond(double V) {
-  C.UnitsPerCorePerSecond = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::unitLoadCost(double V) {
-  C.UnitLoadCost = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::deserializeCostPerByte(double V) {
-  C.DeserializeCostPerByte = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::runtimeWarmup(double Penalty,
-                                                        double Tau) {
-  C.RuntimeWarmupPenalty = Penalty;
-  C.RuntimeWarmupTau = Tau;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::jit(jit::JitConfig V) {
-  C.Jit = std::move(V);
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::interp(interp::InterpOptions V) {
-  C.Interp = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::reorderProperties(bool V) {
-  C.ReorderProperties = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::useAffinityPropOrder(bool V) {
-  C.UseAffinityPropOrder = V;
-  return *this;
-}
 ServerConfigBuilder &ServerConfigBuilder::serveWorkers(uint32_t V) {
   C.ServeWorkers = V;
   return *this;
 }
-ServerConfigBuilder &ServerConfigBuilder::maxInFlight(uint32_t V) {
-  C.Admission.MaxInFlight = V;
-  return *this;
-}
-ServerConfigBuilder &
-ServerConfigBuilder::onOverload(AdmissionConfig::Policy V) {
-  C.Admission.OnOverload = V;
-  return *this;
-}
-ServerConfigBuilder &
-ServerConfigBuilder::warmupEndpoints(std::vector<uint32_t> V) {
-  C.WarmupEndpoints = std::move(V);
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::observability(obs::Observability *V) {
-  C.Obs = V;
-  return *this;
-}
 ServerConfigBuilder &ServerConfigBuilder::name(std::string V) {
   C.Name = std::move(V);
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::compilePool(support::ThreadPool *V) {
-  C.CompilePool = V;
   return *this;
 }
 

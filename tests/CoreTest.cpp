@@ -292,16 +292,23 @@ TEST_F(CoreFixture, ConsumerCrashLoopEndsInFallback) {
   ASSERT_NE(Out.Server, nullptr) << "fallback must still boot the server";
 }
 
-TEST_F(CoreFixture, OptimizationSwitchesReachServerConfig) {
-  JumpStartOptions Opts;
-  Opts.VasmBlockCounters = false;
-  Opts.FunctionOrder = false;
-  Opts.PropertyReordering = false;
+TEST_F(CoreFixture, ConsumerBootsBaseConfigAsGiven) {
+  // The engine switches have one home, the server configuration: default
+  // workflow options must not overwrite them at consumer boot.
+  PackageManager Manager;
+  ASSERT_TRUE(seedInto(Manager).Published);
   vm::ServerConfig Config = baseConfig();
-  applyOptimizationOptions(Config, Opts);
-  EXPECT_FALSE(Config.Jit.UseVasmCounters);
-  EXPECT_FALSE(Config.Jit.UsePackageFuncOrder);
-  EXPECT_FALSE(Config.ReorderProperties);
+  Config.Jit.UseVasmCounters = false;
+  Config.Jit.UsePackageFuncOrder = false;
+  Config.ReorderProperties = false;
+  ConsumerOutcome Out = startConsumer(*W, Config, JumpStartOptions(),
+                                      Manager, ConsumerParams());
+  EXPECT_TRUE(Out.UsedJumpStart);
+  ASSERT_NE(Out.Server, nullptr);
+  EXPECT_FALSE(Out.Server->config().Jit.UseVasmCounters);
+  EXPECT_FALSE(Out.Server->config().Jit.UsePackageFuncOrder);
+  EXPECT_FALSE(Out.Server->config().ReorderProperties);
+  EXPECT_FALSE(Out.Server->classes().reorderingEnabled());
 }
 
 //===----------------------------------------------------------------------===//

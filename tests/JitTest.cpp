@@ -215,10 +215,8 @@ TEST(Region, RespectsSizeLimit) {
   primeProfile(Vm, Store, "callee", 1000);
   primeProfile(Vm, Store, "caller", 1000);
   bc::BlockCache Blocks(Vm.Repo);
-  RegionParams Params;
-  Params.MaxInlineBytecodes = 48;
   RegionDescriptor R = selectRegion(Vm.Repo, Blocks, Store,
-                                    Vm.Repo.findFunction("caller"), Params);
+                                    Vm.Repo.findFunction("caller"));
   EXPECT_TRUE(R.InlinedFuncs.empty());
 }
 
@@ -404,7 +402,7 @@ TEST(Tiering, FullLifecycle) {
   ASSERT_NE(Opt, nullptr);
   EXPECT_EQ(Opt->Kind, TransKind::Optimized);
   EXPECT_TRUE(Opt->Placed);
-  EXPECT_LT(Opt->CostPerBytecode, Fix.Config.InterpCostPerBytecode);
+  EXPECT_LT(Opt->CostPerBytecode, kInterpCostPerBytecode);
 }
 
 TEST(Tiering, ProfilingCollectsData) {

@@ -25,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace jumpstart;
 
 //===----------------------------------------------------------------------===//
@@ -306,46 +308,51 @@ TEST(OptionsTest, SetAndParseAssignments) {
             support::StatusCode::InvalidArgument);
   EXPECT_EQ(Opts.parseAssignments("enabled").code(),
             support::StatusCode::InvalidArgument);
+
+  // Hostile integers are rejected, never wrapped or truncated: a sign,
+  // leading whitespace, and values beyond the field's range.
+  EXPECT_EQ(Opts.parseAssignments("max_consumer_attempts=-1").code(),
+            support::StatusCode::InvalidArgument);
+  EXPECT_EQ(Opts.set("max_consumer_attempts", " 7").code(),
+            support::StatusCode::InvalidArgument);
+  EXPECT_EQ(Opts.set("max_consumer_attempts", "+7").code(),
+            support::StatusCode::InvalidArgument);
+  EXPECT_EQ(Opts.parseAssignments("validation_requests=4294967296").code(),
+            support::StatusCode::InvalidArgument);
+  EXPECT_EQ(Opts.set("min_total_samples", "18446744073709551616").code(),
+            support::StatusCode::InvalidArgument);
+  EXPECT_EQ(Opts.MaxConsumerAttempts, 5u);
+  EXPECT_EQ(Opts.ValidationRequests, 40u);
+  EXPECT_TRUE(Opts.set("min_total_samples", "18446744073709551615").ok());
+
+  // A NaN rate parses but never validates (it fails every comparison, so
+  // the seeder's fault-rate check could never trip).
+  ASSERT_TRUE(Opts.parseAssignments("max_validation_fault_rate=nan").ok());
+  EXPECT_FALSE(Opts.validate().empty());
 }
 
 TEST(OptionsTest, KeyValuesRoundTrip) {
   core::JumpStartOptions Opts;
   Opts.Enabled = false;
-  Opts.AffinityPropertyOrder = true;
+  Opts.StrictPackageLint = false;
   Opts.MaxConsumerAttempts = 9;
+  Opts.Coverage.MinTotalSamples = 77;
   core::JumpStartOptions Restored;
   for (const auto &[Key, Value] : Opts.toKeyValues())
     ASSERT_TRUE(Restored.set(Key, Value).ok()) << Key << "=" << Value;
-  EXPECT_EQ(Restored.Enabled, Opts.Enabled);
-  EXPECT_EQ(Restored.AffinityPropertyOrder, Opts.AffinityPropertyOrder);
-  EXPECT_EQ(Restored.MaxConsumerAttempts, Opts.MaxConsumerAttempts);
+  EXPECT_EQ(Restored.toKeyValues(), Opts.toKeyValues());
 }
 
 TEST(OptionsTest, ValidateCatchesIncoherence) {
   core::JumpStartOptions Opts;
-  Opts.AffinityPropertyOrder = true;
-  Opts.PropertyReordering = false;
+  Opts.MaxConsumerAttempts = 0;
   EXPECT_FALSE(Opts.validate().empty());
 
   core::JumpStartOptions Opts2;
-  Opts2.MaxConsumerAttempts = 0;
+  Opts2.MaxValidationFaultRate = 1.5;
   EXPECT_FALSE(Opts2.validate().empty());
-}
-
-TEST(OptionsTest, Builder) {
-  core::JumpStartOptions Opts = core::JumpStartOptionsBuilder()
-                                    .enabled(true)
-                                    .functionOrder(false)
-                                    .maxConsumerAttempts(7)
-                                    .build();
-  EXPECT_FALSE(Opts.FunctionOrder);
-  EXPECT_EQ(Opts.MaxConsumerAttempts, 7u);
-
-  core::JumpStartOptions Bad;
-  support::Status S = core::JumpStartOptionsBuilder()
-                          .maxConsumerAttempts(0)
-                          .tryBuild(Bad);
-  EXPECT_EQ(S.code(), support::StatusCode::FailedPrecondition);
+  Opts2.MaxValidationFaultRate = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(Opts2.validate().empty());
 }
 
 //===----------------------------------------------------------------------===//

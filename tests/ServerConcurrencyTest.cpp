@@ -498,30 +498,39 @@ TEST(ServerConfigBuilder, DefaultsValidate) {
 TEST(ServerConfigBuilder, RejectsIncoherentSettings) {
   struct Case {
     const char *Field;
-    vm::ServerConfigBuilder B;
+    vm::ServerConfig C;
   };
-  std::vector<Case> Cases;
-  Cases.push_back({"Cores", vm::ServerConfigBuilder().cores(0)});
-  Cases.push_back(
-      {"JitWorkerCores", vm::ServerConfigBuilder().jitWorkerCores(0)});
-  Cases.push_back({"UnitsPerCorePerSecond",
-                   vm::ServerConfigBuilder().unitsPerCorePerSecond(0)});
-  Cases.push_back({"UnitLoadCost",
-                   vm::ServerConfigBuilder().unitLoadCost(-1)});
-  Cases.push_back({"RuntimeWarmupTau",
-                   vm::ServerConfigBuilder().runtimeWarmup(2.0, 0)});
-  Cases.push_back({"ServeWorkers",
-                   vm::ServerConfigBuilder().serveWorkers(0)});
-  Cases.push_back({"MaxInFlight", vm::ServerConfigBuilder()
-                                      .serveWorkers(4)
-                                      .maxInFlight(1)});
-  Cases.push_back({"Name", vm::ServerConfigBuilder().name("")});
-  for (Case &C : Cases) {
-    vm::ServerConfig Out;
-    support::Status S = C.B.tryBuild(Out);
-    EXPECT_FALSE(S.ok()) << C.Field;
-    EXPECT_EQ(S.code(), support::StatusCode::FailedPrecondition) << C.Field;
+  std::vector<Case> Cases(7);
+  Cases[0].Field = "Cores";
+  Cases[0].C.Cores = 0;
+  Cases[1].Field = "JitWorkerCores";
+  Cases[1].C.JitWorkerCores = 0;
+  Cases[2].Field = "UnitLoadCost";
+  Cases[2].C.UnitLoadCost = -1;
+  Cases[3].Field = "UseAffinityPropOrder";
+  Cases[3].C.UseAffinityPropOrder = true;
+  Cases[3].C.ReorderProperties = false;
+  Cases[4].Field = "ServeWorkers";
+  Cases[4].C.ServeWorkers = 0;
+  Cases[5].Field = "MaxInFlight";
+  Cases[5].C.ServeWorkers = 4;
+  Cases[5].C.Admission.MaxInFlight = 1;
+  Cases[6].Field = "Name";
+  Cases[6].C.Name = "";
+  for (const Case &C : Cases) {
+    std::vector<std::string> Diags = vm::validateServerConfig(C.C);
+    ASSERT_EQ(Diags.size(), 1u) << C.Field;
+    EXPECT_NE(Diags[0].find(C.Field), std::string::npos) << Diags[0];
   }
+  // The affinity refinement on top of hotness reordering is coherent.
+  vm::ServerConfig Affinity;
+  Affinity.UseAffinityPropOrder = true;
+  EXPECT_TRUE(vm::validateServerConfig(Affinity).empty());
+
+  // The builder reports the same diagnostics as failed_precondition.
+  vm::ServerConfig Out;
+  support::Status S = vm::ServerConfigBuilder().serveWorkers(0).tryBuild(Out);
+  EXPECT_EQ(S.code(), support::StatusCode::FailedPrecondition);
 }
 
 TEST(ServerConfigBuilder, BuildsWhatWasSet) {
@@ -529,15 +538,11 @@ TEST(ServerConfigBuilder, BuildsWhatWasSet) {
                            .cores(8)
                            .jitWorkerCores(2)
                            .serveWorkers(4)
-                           .maxInFlight(16)
-                           .onOverload(vm::AdmissionConfig::Policy::Shed)
                            .name("c8")
                            .build();
   EXPECT_EQ(C.Cores, 8u);
   EXPECT_EQ(C.JitWorkerCores, 2u);
   EXPECT_EQ(C.ServeWorkers, 4u);
-  EXPECT_EQ(C.Admission.MaxInFlight, 16u);
-  EXPECT_EQ(C.Admission.OnOverload, vm::AdmissionConfig::Policy::Shed);
   EXPECT_EQ(C.Name, "c8");
 }
 

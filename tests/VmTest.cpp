@@ -198,6 +198,17 @@ TEST_F(VmTestFixture, PropertyReorderingRequiresPackageCounts) {
   vm::Server Disabled(W->Repo, NoReorder, 37);
   ASSERT_TRUE(Disabled.installPackage(Pkg).ok());
   EXPECT_FALSE(Disabled.classes().reorderingEnabled());
+
+  // The affinity refinement is a server switch too: with the package's
+  // affinity counters it replaces plain hotness ordering.
+  ASSERT_FALSE(Pkg.Opt.PropAffinity.empty());
+  EXPECT_EQ(Consumer.classes().orderMode(), runtime::PropOrderMode::Hotness);
+  vm::ServerConfig Affinity = fastConfig();
+  Affinity.UseAffinityPropOrder = true;
+  vm::Server ByAffinity(W->Repo, Affinity, 37);
+  ASSERT_TRUE(ByAffinity.installPackage(Pkg).ok());
+  EXPECT_EQ(ByAffinity.classes().orderMode(),
+            runtime::PropOrderMode::Affinity);
 }
 
 TEST_F(VmTestFixture, FaultsAreCountedNotFatal) {
