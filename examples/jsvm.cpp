@@ -27,6 +27,7 @@
 #include "interp/Interpreter.h"
 #include "jit/ParallelRetranslate.h"
 #include "runtime/ValueOps.h"
+#include "support/StringUtil.h"
 #include "support/ThreadPool.h"
 #include "testing/DiffRunner.h"
 
@@ -121,26 +122,28 @@ int main(int argc, char **argv) {
     bool Full = false;
     int64_t Skew = 0;
     for (int I = 2; I < argc; ++I) {
-      auto IntArg = [&](int64_t &Out) {
-        if (I + 1 >= argc)
-          return false;
-        Out = std::strtoll(argv[++I], nullptr, 10);
-        return true;
+      // A number must parse whole into its field's type: "abc", "7x",
+      // "-1" for a count or an out-of-range value is a usage error.
+      auto NumArg = [&](auto &Out) {
+        return I + 1 < argc && parseInteger(argv[++I], Out);
       };
-      int64_t V = 0;
-      if (std::strcmp(argv[I], "--programs") == 0 && IntArg(V))
-        P.NumPrograms = static_cast<uint32_t>(V);
-      else if (std::strcmp(argv[I], "--seed") == 0 && IntArg(V))
-        P.Seed = static_cast<uint64_t>(V);
-      else if (std::strcmp(argv[I], "--requests") == 0 && IntArg(V))
-        P.RequestsPerProgram = static_cast<uint32_t>(V);
-      else if (std::strcmp(argv[I], "--skew") == 0 && IntArg(V))
-        Skew = V;
-      else if (std::strcmp(argv[I], "--full") == 0)
+      const char *Flag = argv[I];
+      bool Ok = true;
+      if (std::strcmp(Flag, "--programs") == 0)
+        Ok = NumArg(P.NumPrograms);
+      else if (std::strcmp(Flag, "--seed") == 0)
+        Ok = NumArg(P.Seed);
+      else if (std::strcmp(Flag, "--requests") == 0)
+        Ok = NumArg(P.RequestsPerProgram);
+      else if (std::strcmp(Flag, "--skew") == 0)
+        Ok = NumArg(Skew);
+      else if (std::strcmp(Flag, "--full") == 0)
         Full = true;
-      else if (std::strcmp(argv[I], "--repro") == 0 && I + 1 < argc)
+      else if (std::strcmp(Flag, "--repro") == 0 && I + 1 < argc)
         P.ReproDir = argv[++I];
       else
+        Ok = false;
+      if (!Ok)
         return usage();
     }
     P.Matrix = Full ? jumpstart::testing::fullMatrix()

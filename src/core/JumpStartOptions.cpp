@@ -9,7 +9,6 @@
 
 #include "support/StringUtil.h"
 
-#include <charconv>
 #include <cstdlib>
 #include <limits>
 
@@ -57,17 +56,13 @@ Status parseBool(std::string_view Key, std::string_view Value, bool &Out) {
 /// wrapped or truncated values).
 template <typename UIntT>
 Status parseUInt(std::string_view Key, std::string_view Value, UIntT &Out) {
-  const char *Last = Value.data() + Value.size();
-  UIntT V = 0;
-  auto [End, Err] = std::from_chars(Value.data(), Last, V);
-  if (Err != std::errc() || End != Last)
+  if (!parseInteger(Value, Out))
     return support::errorStatus(
         StatusCode::InvalidArgument,
         "%.*s: expected an unsigned integer in [0, %llu], got \"%.*s\"",
         static_cast<int>(Key.size()), Key.data(),
         static_cast<unsigned long long>(std::numeric_limits<UIntT>::max()),
         static_cast<int>(Value.size()), Value.data());
-  Out = V;
   return Status::okStatus();
 }
 

@@ -233,6 +233,13 @@ void Jit::compileOptimized(bc::FuncId F) {
   Db.create(TransKind::Optimized, std::move(Unit));
 }
 
+bool Jit::place(Translation &T, CodeArea Area, const UnitLayout &L) {
+  if (!placeTranslation(T, Cache, Area, L))
+    return false;
+  Db.notePlaced(T);
+  return true;
+}
+
 LayoutOptions Jit::layoutOptions() const {
   LayoutOptions L;
   L.UseExtTsp = Config.UseExtTsp;
@@ -298,7 +305,7 @@ void Jit::finishJob(const Job &J) {
     L.HotOrder.resize(T.Unit->Blocks.size());
     for (uint32_t I = 0; I < L.HotOrder.size(); ++I)
       L.HotOrder[I] = I;
-    placeTranslation(T, Cache, CodeArea::Profile, L);
+    place(T, CodeArea::Profile, L);
     return;
   }
   case Job::Kind::CompileLive: {
@@ -317,7 +324,7 @@ void Jit::finishJob(const Job &J) {
     L.HotOrder.resize(T.Unit->Blocks.size());
     for (uint32_t I = 0; I < L.HotOrder.size(); ++I)
       L.HotOrder[I] = I;
-    if (!placeTranslation(T, Cache, CodeArea::Live, L))
+    if (!place(T, CodeArea::Live, L))
       LiveAreaExhausted = true; // Figure 1 point D
     return;
   }
@@ -335,7 +342,7 @@ void Jit::finishJob(const Job &J) {
     } else {
       L = layoutUnit(*T->Unit, layoutOptions());
     }
-    placeTranslation(*T, Cache, CodeArea::Hot, L);
+    place(*T, CodeArea::Hot, L);
     return;
   }
   }

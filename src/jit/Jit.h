@@ -273,6 +273,9 @@ private:
   /// Records a phase-transition instant event (no-op without obs).
   void notePhase(JitPhase NewPhase);
   void compileOptimized(bc::FuncId F);
+  /// placeTranslation into \p Area; on success tells the database, so
+  /// best() sees the translation.
+  bool place(Translation &T, CodeArea Area, const UnitLayout &L);
   void enqueueRelocations();
   /// Second half of startConsumerPrecompile: enqueues retranslate-all
   /// plus (optionally) the package's live-code tail.

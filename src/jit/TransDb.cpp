@@ -61,8 +61,12 @@ Translation &TransDb::create(TransKind Kind,
   support::MutexLock Lock(M);
   T->Id = static_cast<uint32_t>(All.size());
   ElidedGuardCount += T->Unit->ElidedGuards.size();
-  mapFor(Kind).insertOrAssign(T->Unit->Func.raw(), T->Id);
+  KindBytes[static_cast<size_t>(Kind)] += T->Unit->sizeBytes();
+  bc::FuncId F = T->Unit->Func;
+  // This may replace a placed translation of F with an unplaced one.
+  mapFor(Kind).insertOrAssign(F.raw(), T->Id);
   All.push_back(std::move(T));
+  refreshBest(F);
   return *All.back();
 }
 
@@ -81,27 +85,24 @@ const Translation *TransDb::forFunc(bc::FuncId F, TransKind K) const {
   return forFuncLocked(F, K);
 }
 
-const Translation *TransDb::best(bc::FuncId F) const {
+void TransDb::notePlaced(const Translation &T) {
   support::MutexLock Lock(M);
-  const Translation *Opt = forFuncLocked(F, TransKind::Optimized);
-  if (Opt && Opt->Placed)
-    return Opt;
-  const Translation *Live = forFuncLocked(F, TransKind::Live);
-  if (Live && Live->Placed)
-    return Live;
-  const Translation *Prof = forFuncLocked(F, TransKind::Profile);
-  if (Prof && Prof->Placed)
-    return Prof;
-  return nullptr;
+  refreshBest(T.func());
 }
 
-uint64_t TransDb::bytesOfKind(TransKind K) const {
-  support::MutexLock Lock(M);
-  uint64_t Total = 0;
-  for (const auto &T : All)
-    if (T->Kind == K)
-      Total += T->Unit->sizeBytes();
-  return Total;
+void TransDb::refreshBest(bc::FuncId F) {
+  uint32_t Id = kNoTrans;
+  for (TransKind K :
+       {TransKind::Optimized, TransKind::Live, TransKind::Profile}) {
+    const Translation *T = forFuncLocked(F, K);
+    if (T && T->Placed) {
+      Id = T->Id;
+      break;
+    }
+  }
+  if (F.raw() >= BestIds.size())
+    BestIds.resize(F.raw() + 1, kNoTrans);
+  BestIds[F.raw()] = Id;
 }
 
 std::string TransDb::placementDigest() const {

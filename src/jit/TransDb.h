@@ -53,9 +53,19 @@ public:
   const Translation *forFunc(bc::FuncId F, TransKind K) const
       JUMPSTART_EXCLUDES(M);
 
+  /// Records that \p T was placed (placeTranslation succeeded), so best()
+  /// sees it.  Placement happens outside the database; whoever places a
+  /// translation must tell it.
+  void notePlaced(const Translation &T) JUMPSTART_EXCLUDES(M);
+
   /// The translation that would execute for \p F right now: a placed
-  /// optimized translation wins, then live, then profile.
-  const Translation *best(bc::FuncId F) const JUMPSTART_EXCLUDES(M);
+  /// optimized translation wins, then live, then profile.  One load from
+  /// a per-function index that create() and notePlaced() keep current.
+  const Translation *best(bc::FuncId F) const JUMPSTART_EXCLUDES(M) {
+    support::MutexLock Lock(M);
+    uint32_t Id = F.raw() < BestIds.size() ? BestIds[F.raw()] : kNoTrans;
+    return Id == kNoTrans ? nullptr : All[Id].get();
+  }
 
   size_t size() const JUMPSTART_EXCLUDES(M) {
     support::MutexLock Lock(M);
@@ -78,8 +88,12 @@ public:
     return ElidedGuardCount;
   }
 
-  /// Total Vasm bytes of translations of kind \p K (placed or not).
-  uint64_t bytesOfKind(TransKind K) const JUMPSTART_EXCLUDES(M);
+  /// Total Vasm bytes of translations of kind \p K (placed or not), kept
+  /// current by create() (units are not mutated after it).
+  uint64_t bytesOfKind(TransKind K) const JUMPSTART_EXCLUDES(M) {
+    support::MutexLock Lock(M);
+    return KindBytes[static_cast<size_t>(K)];
+  }
 
   /// One line per translation in id order (kind, function, placement,
   /// entry address, block count).  Part of the determinism promise: two
@@ -98,12 +112,20 @@ private:
 
   Translation *forFuncLocked(bc::FuncId F, TransKind K) const
       JUMPSTART_REQUIRES(M);
+  /// Recomputes BestIds[F] by the rule best() documents.
+  void refreshBest(bc::FuncId F) JUMPSTART_REQUIRES(M);
+
+  static constexpr uint32_t kNoTrans = ~0u;
 
   mutable support::Mutex M;
   std::vector<std::unique_ptr<Translation>> All JUMPSTART_GUARDED_BY(M);
   FuncMap LiveMap JUMPSTART_GUARDED_BY(M);
   FuncMap ProfileMap JUMPSTART_GUARDED_BY(M);
   FuncMap OptMap JUMPSTART_GUARDED_BY(M);
+  /// FuncId -> id of best(F), or kNoTrans.
+  std::vector<uint32_t> BestIds JUMPSTART_GUARDED_BY(M);
+  /// Vasm bytes per TransKind.
+  uint64_t KindBytes[3] JUMPSTART_GUARDED_BY(M) = {};
   uint64_t ElidedGuardCount JUMPSTART_GUARDED_BY(M) = 0;
 };
 

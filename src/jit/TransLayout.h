@@ -54,7 +54,8 @@ void injectVasmCounts(VasmUnit &Unit, const std::vector<uint64_t> &Counts);
 
 /// Places \p T in the code cache: hot blocks in \p HotArea in layout
 /// order, cold blocks (if any) in the cold area.  \returns false when an
-/// area is full (translation stays unplaced).
+/// area is full (translation stays unplaced).  A translation owned by a
+/// TransDb is visible to TransDb::best() only after TransDb::notePlaced.
 bool placeTranslation(Translation &T, CodeCache &Cache, CodeArea HotArea,
                       const UnitLayout &Layout);
 

@@ -81,16 +81,26 @@ public:
   std::vector<VBlock> Blocks;
 
   /// Registers that bytecode block \p BcBlock of \p F lowers to Vasm
-  /// block \p VBlock (inlined callees pass their own FuncId).
+  /// block \p VBlock (inlined callees pass their own FuncId).  Set Func
+  /// first: its own blocks go to a dense index, only inlined callees' to
+  /// the hash map.
   void mapBlock(bc::FuncId F, uint32_t BcBlock, uint32_t VBlockId) {
-    BlockMap[key(F, BcBlock)] = VBlockId;
+    if (F != Func) {
+      InlinedBlocks[key(F, BcBlock)] = VBlockId;
+      return;
+    }
+    if (BcBlock >= OwnBlocks.size())
+      OwnBlocks.resize(BcBlock + 1, kNoBlock);
+    OwnBlocks[BcBlock] = VBlockId;
   }
 
   /// \returns the Vasm block implementing (F, BcBlock), or kNoBlock.
   static constexpr uint32_t kNoBlock = ~0u;
   uint32_t findBlock(bc::FuncId F, uint32_t BcBlock) const {
-    auto It = BlockMap.find(key(F, BcBlock));
-    return It == BlockMap.end() ? kNoBlock : It->second;
+    if (F == Func)
+      return BcBlock < OwnBlocks.size() ? OwnBlocks[BcBlock] : kNoBlock;
+    auto It = InlinedBlocks.find(key(F, BcBlock));
+    return It == InlinedBlocks.end() ? kNoBlock : It->second;
   }
 
   /// Functions inlined into this unit (not including Func itself).
@@ -156,7 +166,10 @@ private:
   static uint64_t key(bc::FuncId F, uint32_t BcBlock) {
     return (static_cast<uint64_t>(F.raw()) << 32) | BcBlock;
   }
-  std::unordered_map<uint64_t, uint32_t> BlockMap;
+  /// Func's bytecode block -> Vasm block.
+  std::vector<uint32_t> OwnBlocks;
+  /// (inlined callee, bytecode block) -> Vasm block.
+  std::unordered_map<uint64_t, uint32_t> InlinedBlocks;
 };
 
 } // namespace jumpstart::jit

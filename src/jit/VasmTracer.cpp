@@ -27,19 +27,17 @@ void VasmTracer::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
   (void)Args;
   (void)NumArgs;
   Frame F;
-  F.Func = Callee.raw();
   Frame *Parent = top();
   if (Parent && Parent->Unit && Parent->Unit->isInlined(Callee)) {
     // Inlined body: tracing continues within the caller's unit.
     F.Trans = Parent->Trans;
     F.Unit = Parent->Unit;
-    F.Inlined = true;
-  } else {
-    const Translation *T = J.transDb().best(Callee);
-    if (T && T->Placed) {
-      F.Trans = T;
-      F.Unit = T->Unit.get();
-    }
+    F.Blocks = Parent->Blocks;
+  } else if (const Translation *T = J.transDb().best(Callee)) {
+    // best() only returns placed translations.
+    F.Trans = T;
+    F.Unit = T->Unit.get();
+    F.Blocks = summaries(*T);
   }
   Frames.push_back(F);
 }
@@ -50,39 +48,41 @@ void VasmTracer::onFuncExit(bc::FuncId F) {
     Frames.pop_back();
 }
 
-uint64_t VasmTracer::terminatorAddr(const Frame &F,
-                                    uint32_t VasmBlock) const {
-  const VBlock &B = F.Unit->Blocks[VasmBlock];
-  uint64_t Addr = F.Trans->BlockAddrs[VasmBlock];
-  for (size_t I = 0; I + 1 < B.Instrs.size(); ++I)
-    Addr += B.Instrs[I].SizeBytes;
-  return Addr;
-}
-
-void VasmTracer::traceBlock(const Frame &F, uint32_t VasmBlock) {
-  uint64_t Addr = F.Trans->BlockAddrs[VasmBlock];
-  const std::vector<VInstr> &Instrs = F.Unit->Blocks[VasmBlock].Instrs;
-  size_t Count = Instrs.size();
-  // A jump elided at placement does not exist in the code stream.
-  if (Count && VasmBlock < F.Trans->JumpElided.size() &&
-      F.Trans->JumpElided[VasmBlock])
-    --Count;
-  for (size_t I = 0; I < Count; ++I) {
-    Machine.fetch(Addr, Instrs[I].SizeBytes);
-    Addr += Instrs[I].SizeBytes;
+const VasmTracer::BlockSummary *
+VasmTracer::summaries(const Translation &T) {
+  if (T.Id >= Summaries.size())
+    Summaries.resize(T.Id + 1);
+  std::vector<BlockSummary> &Out = Summaries[T.Id];
+  if (Out.size() == T.Unit->Blocks.size())
+    return Out.data(); // already summarised (or nothing to summarise)
+  Out.resize(T.Unit->Blocks.size());
+  for (uint32_t VB = 0; VB < Out.size(); ++VB) {
+    const std::vector<VInstr> &Instrs = T.Unit->Blocks[VB].Instrs;
+    BlockSummary &S = Out[VB];
+    uint64_t Addr = T.BlockAddrs[VB];
+    // A jump elided at placement does not exist in the code stream.
+    size_t Count = Instrs.size();
+    if (Count && T.JumpElided[VB])
+      --Count;
+    for (size_t I = 0; I < Count; ++I) {
+      Machine.appendFetch(S.Run, Addr, Instrs[I].SizeBytes);
+      Addr += Instrs[I].SizeBytes;
+    }
+    S.TermAddr = T.BlockAddrs[VB];
+    for (size_t I = 0; I + 1 < Instrs.size(); ++I)
+      S.TermAddr += Instrs[I].SizeBytes;
+    if (!Instrs.empty() && Instrs.back().Kind == VKind::CondBranch)
+      S.CondEndAddr = S.TermAddr + Instrs.back().SizeBytes;
   }
+  return Out.data();
 }
 
 void VasmTracer::onBlockEnter(bc::FuncId FuncId, uint32_t Block) {
   Frame *F = top();
-  if (!F || !F->Unit || !F->Trans || !F->Trans->Placed)
+  if (!F || !F->Blocks)
     return;
-  uint32_t VB = F->Unit->findBlock(bc::FuncId(F->Func), Block);
-  if (F->Func != FuncId.raw()) {
-    // Events for a function other than the frame's own can only happen
-    // for inlined bodies, which register under their own FuncId.
-    VB = F->Unit->findBlock(FuncId, Block);
-  }
+  // Inlined bodies register their blocks under their own FuncId.
+  uint32_t VB = F->Unit->findBlock(FuncId, Block);
   if (VB == VasmUnit::kNoBlock)
     return;
 
@@ -94,27 +94,22 @@ void VasmTracer::onBlockEnter(bc::FuncId FuncId, uint32_t Block) {
   // V-A): laying the hot successor next to the block converts its taken
   // branches into fallthroughs.
   if (F->LastVasmBlock != VasmUnit::kNoBlock) {
-    const VBlock &Last = F->Unit->Blocks[F->LastVasmBlock];
-    if (!Last.Instrs.empty() &&
-        Last.Instrs.back().Kind == VKind::CondBranch) {
-      uint64_t LastEnd = F->Trans->BlockAddrs[F->LastVasmBlock] +
-                         Last.sizeBytes();
+    const BlockSummary &Last = F->Blocks[F->LastVasmBlock];
+    if (Last.CondEndAddr) {
       uint64_t NextAddr = F->Trans->BlockAddrs[VB];
-      bool Taken = NextAddr != LastEnd;
-      Machine.condBranch(terminatorAddr(*F, F->LastVasmBlock), Taken,
+      Machine.condBranch(Last.TermAddr, NextAddr != Last.CondEndAddr,
                          NextAddr);
     }
   }
 
-  traceBlock(*F, VB);
+  Machine.fetchRun(F->Blocks[VB].Run);
   F->LastVasmBlock = VB;
 }
 
 bool VasmTracer::wantsInstrTrace(bc::FuncId F) {
   // Per-instruction events are only needed for interpreted functions, to
   // model the dispatch loop's footprint.
-  const Translation *T = J.transDb().best(F);
-  return !(T && T->Placed);
+  return J.transDb().best(F) == nullptr;
 }
 
 void VasmTracer::onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) {
@@ -134,18 +129,17 @@ void VasmTracer::onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
   (void)Caller;
   (void)InstrIndex;
   Frame *F = top();
-  if (!F || !F->Unit || !F->Trans)
+  if (!F || !F->Trans)
     return;
   // Devirtualized or inlined sites compile to guarded direct calls; only
   // genuinely indirect sites stress the target predictor.
   if (F->Unit->isInlined(Callee))
     return;
   uint64_t Target = 0;
-  const Translation *T = J.transDb().best(Callee);
-  if (T && T->Placed)
+  if (const Translation *T = J.transDb().best(Callee))
     Target = T->entryAddr();
   uint64_t Pc = F->LastVasmBlock != VasmUnit::kNoBlock
-                    ? terminatorAddr(*F, F->LastVasmBlock)
+                    ? F->Blocks[F->LastVasmBlock].TermAddr
                     : 0;
   Machine.indirectBranch(Pc, Target);
 }

@@ -51,24 +51,41 @@ public:
   void onDataAccess(uint64_t Addr, bool IsWrite) override;
 
 private:
+  /// What executing one placed Vasm block does, computed once per
+  /// translation from its BlockAddrs, JumpElided and the machine's line
+  /// and page size.  A placed translation's addresses never change
+  /// (placeTranslation sets them once), so a summary stays valid for the
+  /// tracer's lifetime.
+  struct BlockSummary {
+    /// The instructions fetched (an elided jump is not in the stream).
+    sim::FetchRun Run;
+    /// Address of the block's last instruction (the branch pc).
+    uint64_t TermAddr = 0;
+    /// Fallthrough address of a block ending in a conditional branch;
+    /// 0 for any other block.
+    uint64_t CondEndAddr = 0;
+  };
+
   struct Frame {
-    uint32_t Func = 0;
     /// The translation whose blocks this frame traces (null: interpreted).
     const Translation *Trans = nullptr;
     const VasmUnit *Unit = nullptr;
-    /// Whether Unit belongs to a caller that inlined this function.
-    bool Inlined = false;
+    /// Trans's block summaries, indexed by Vasm block (null: interpreted).
+    const BlockSummary *Blocks = nullptr;
     /// Previously traced Vasm block (to resolve branch outcomes).
     uint32_t LastVasmBlock = VasmUnit::kNoBlock;
   };
 
   Frame *top() { return Frames.empty() ? nullptr : &Frames.back(); }
-  void traceBlock(const Frame &F, uint32_t VasmBlock);
-  uint64_t terminatorAddr(const Frame &F, uint32_t VasmBlock) const;
+  const BlockSummary *summaries(const Translation &T);
 
   Jit &J;
   sim::MachineSim &Machine;
   std::vector<Frame> Frames;
+  /// Block summaries by translation id, filled on a translation's first
+  /// traced entry.  Growing the outer vector moves the inner ones, so the
+  /// Frame::Blocks pointers into them stay valid.
+  std::vector<std::vector<BlockSummary>> Summaries;
   /// Round-robin cursor for interpreter-loop fetches.
   uint64_t InterpCursor = 0;
 };

@@ -9,6 +9,8 @@
 
 #include "support/Assert.h"
 
+#include <algorithm>
+
 using namespace jumpstart;
 using namespace jumpstart::sim;
 
@@ -29,41 +31,42 @@ Cache::Cache(CacheConfig Config) : Config(Config) {
   alwaysAssert((Config.LineBytes & (Config.LineBytes - 1)) == 0,
                "line size must be a power of two");
   LineShift = log2Floor(Config.LineBytes);
-  Ways.assign(static_cast<size_t>(NumSets) * Config.Ways, Way());
+  SetShift = log2Floor(NumSets);
+  Tags.assign(static_cast<size_t>(NumSets) * Config.Ways, 0);
+  LastUse.assign(Tags.size(), 0);
 }
 
 bool Cache::access(uint64_t Addr) {
   ++Accesses;
   ++Clock;
   uint64_t Line = Addr >> LineShift;
-  uint32_t Set = static_cast<uint32_t>(Line & (NumSets - 1));
-  uint64_t Tag = Line >> log2Floor(NumSets);
-  Way *SetWays = &Ways[static_cast<size_t>(Set) * Config.Ways];
+  size_t Base = static_cast<size_t>(Line & (NumSets - 1)) * Config.Ways;
+  uint64_t Tag = Line >> SetShift;
+  uint64_t *SetTags = &Tags[Base];
+  uint64_t *SetUse = &LastUse[Base];
 
-  Way *Victim = &SetWays[0];
+  // The victim is the way with the smallest stamp: an invalid way (stamp
+  // 0) if the set has one, else the least recently used.  Which invalid
+  // way fills first cannot change any later hit or miss.
+  uint32_t Victim = 0;
   for (uint32_t W = 0; W < Config.Ways; ++W) {
-    Way &Candidate = SetWays[W];
-    if (Candidate.Valid && Candidate.Tag == Tag) {
-      Candidate.LastUse = Clock;
+    if (SetTags[W] == Tag && SetUse[W] != 0) {
+      SetUse[W] = Clock;
       return true;
     }
-    if (!Candidate.Valid) {
-      Victim = &Candidate;
-    } else if (Victim->Valid && Candidate.LastUse < Victim->LastUse) {
-      Victim = &Candidate;
-    }
+    if (SetUse[W] < SetUse[Victim])
+      Victim = W;
   }
 
   ++Misses;
-  Victim->Valid = true;
-  Victim->Tag = Tag;
-  Victim->LastUse = Clock;
+  SetTags[Victim] = Tag;
+  SetUse[Victim] = Clock;
   return false;
 }
 
 void Cache::reset() {
-  for (Way &W : Ways)
-    W = Way();
+  std::fill(Tags.begin(), Tags.end(), 0);
+  std::fill(LastUse.begin(), LastUse.end(), 0);
   Clock = 0;
   Accesses = 0;
   Misses = 0;

@@ -53,16 +53,14 @@ public:
   const CacheConfig &config() const { return Config; }
 
 private:
-  struct Way {
-    uint64_t Tag = ~0ull;
-    uint64_t LastUse = 0;
-    bool Valid = false;
-  };
-
   CacheConfig Config;
   uint32_t NumSets;
   uint32_t LineShift;
-  std::vector<Way> Ways; ///< NumSets * Config.Ways, row-major by set.
+  uint32_t SetShift; ///< log2(NumSets): a line's tag is Line >> SetShift.
+  /// NumSets * Config.Ways entries each, row-major by set.  A way whose
+  /// LastUse is 0 is invalid: every access stamps a Clock value >= 1.
+  std::vector<uint64_t> Tags;
+  std::vector<uint64_t> LastUse;
   uint64_t Clock = 0;
   uint64_t Accesses = 0;
   uint64_t Misses = 0;

@@ -7,6 +7,7 @@
 
 #include "sim/Machine.h"
 
+#include "support/Assert.h"
 #include "support/StringUtil.h"
 
 using namespace jumpstart;
@@ -19,13 +20,41 @@ MachineSim::MachineSim(MachineConfig C)
       Direction(C.BranchTableSize), Indirect(C.BtbSize), Btb(C.BtbSize) {}
 
 void MachineSim::fetch(uint64_t Addr, uint32_t SizeBytes) {
-  ++Counters.Instructions;
+  FetchRun Run;
+  appendFetch(Run, Addr, SizeBytes);
+  fetchRun(Run);
+}
+
+void MachineSim::appendFetch(FetchRun &Run, uint64_t Addr,
+                             uint32_t SizeBytes) const {
   uint64_t First = Addr / Config.L1I.LineBytes;
   uint64_t Last = (Addr + (SizeBytes ? SizeBytes - 1 : 0)) /
                   Config.L1I.LineBytes;
-  for (uint64_t Line = First; Line <= Last; ++Line) {
+  uint64_t Page = Addr / Config.PageBytes;
+  if (Run.Instrs == 0) {
+    Run.FirstLine = First;
+    Run.FirstPage = Page;
+  } else {
+    // Contiguous instructions no larger than a page cover every line and
+    // every start page of the run's ranges; fetchRun relies on it.
+    alwaysAssert(First <= Run.LastLine + 1 && Page <= Run.LastPage + 1,
+                 "fetch run is not contiguous");
+  }
+  ++Run.Instrs;
+  Run.LineTouches += static_cast<uint32_t>(Last - First + 1);
+  Run.LastLine = Last;
+  Run.LastPage = Page;
+}
+
+void MachineSim::fetchRun(const FetchRun &Run) {
+  if (Run.Instrs == 0)
+    return;
+  Counters.Instructions += Run.Instrs;
+  Counters.L1IAccesses += Run.LineTouches;
+  Counters.ITlbAccesses += Run.Instrs;
+  for (uint64_t Line = Run.FirstLine + (Run.FirstLine == MruLine);
+       Line <= Run.LastLine; ++Line) {
     uint64_t LineAddr = Line * Config.L1I.LineBytes;
-    ++Counters.L1IAccesses;
     if (!L1I.access(LineAddr)) {
       ++Counters.L1IMisses;
       ++Counters.LlcAccesses;
@@ -33,9 +62,12 @@ void MachineSim::fetch(uint64_t Addr, uint32_t SizeBytes) {
         ++Counters.LlcMisses;
     }
   }
-  ++Counters.ITlbAccesses;
-  if (!ITlb.access(Addr))
-    ++Counters.ITlbMisses;
+  MruLine = Run.LastLine;
+  for (uint64_t Page = Run.FirstPage + (Run.FirstPage == MruPage);
+       Page <= Run.LastPage; ++Page)
+    if (!ITlb.access(Page * Config.PageBytes))
+      ++Counters.ITlbMisses;
+  MruPage = Run.LastPage;
 }
 
 void MachineSim::dataAccess(uint64_t Addr, bool IsWrite) {
@@ -79,6 +111,8 @@ void MachineSim::reset() {
   Indirect.reset();
   Btb.reset();
   Counters = PerfCounters();
+  MruLine = kNone;
+  MruPage = kNone;
 }
 
 double MachineSim::cycles() const {

@@ -66,15 +66,44 @@ struct PerfCounters {
   uint64_t DTlbMisses = 0;
 };
 
-/// The machine simulator.  The VM's execution tracer calls fetch(),
-/// dataAccess(), condBranch() and indirectBranch() as laid-out code runs.
+/// A straight-line run of instructions, each starting where the previous
+/// one ended, summarised for MachineSim::fetchRun.  Build it with
+/// MachineSim::appendFetch so the line and page numbers follow the
+/// machine's geometry.
+struct FetchRun {
+  uint32_t Instrs = 0;      ///< Instructions retired.
+  uint32_t LineTouches = 0; ///< Sum over instructions of L1I lines spanned.
+  uint64_t FirstLine = 0;   ///< L1I line numbers covered, inclusive.
+  uint64_t LastLine = 0;
+  uint64_t FirstPage = 0; ///< Pages holding an instruction start, inclusive.
+  uint64_t LastPage = 0;
+};
+
+/// The machine simulator.  The VM's execution tracer calls fetchRun()
+/// (or fetch()), dataAccess(), condBranch() and indirectBranch() as
+/// laid-out code runs.
 class MachineSim {
 public:
   explicit MachineSim(MachineConfig Config = MachineConfig());
 
   /// Fetches \p SizeBytes of instructions starting at \p Addr (accesses
-  /// every line the range touches) and retires one instruction.
+  /// every line the range touches) and retires one instruction: a
+  /// one-instruction fetchRun().
   void fetch(uint64_t Addr, uint32_t SizeBytes);
+
+  /// Extends \p Run by one instruction of \p SizeBytes at \p Addr, which
+  /// must be where the run's previous instruction ended.
+  void appendFetch(FetchRun &Run, uint64_t Addr, uint32_t SizeBytes) const;
+
+  /// Retires a straight-line run exactly as one fetch() per instruction
+  /// would, but touches each L1I line and I-TLB page once.  Per-instruction
+  /// fetches only ever revisit the line or page they touched last, and a
+  /// line or page equal to the previous fetch's is skipped altogether: only
+  /// fetches reach L1I and the I-TLB, so that entry is still resident and
+  /// most recently used, and touching it again changes no LRU order (the
+  /// caches' LRU stamps are unique and monotonic, only their order counts).
+  /// The access counters still count every instruction.
+  void fetchRun(const FetchRun &Run);
 
   /// A data access at \p Addr.
   void dataAccess(uint64_t Addr, bool IsWrite);
@@ -119,6 +148,12 @@ private:
   TargetPredictor Indirect;
   TargetPredictor Btb;
   PerfCounters Counters;
+  /// The L1I line and I-TLB page the last fetch touched last (kNone after
+  /// reset).  No fetched address reaches the top of the address space, so
+  /// kNone never equals a real line or page.
+  static constexpr uint64_t kNone = ~0ull;
+  uint64_t MruLine = kNone;
+  uint64_t MruPage = kNone;
 };
 
 } // namespace jumpstart::sim

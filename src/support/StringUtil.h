@@ -13,6 +13,7 @@
 #ifndef JUMPSTART_SUPPORT_STRINGUTIL_H
 #define JUMPSTART_SUPPORT_STRINGUTIL_H
 
+#include <charconv>
 #include <cstdarg>
 #include <string>
 #include <string_view>
@@ -39,6 +40,20 @@ inline bool startsWith(std::string_view S, std::string_view Prefix) {
 
 /// Renders a byte count with a binary-unit suffix ("512 B", "1.5 MB").
 std::string formatBytes(uint64_t Bytes);
+
+/// Parses all of \p Text as a decimal \p IntT: no whitespace, no '+', a
+/// '-' only for signed types, and the value must fit ("-1" or 4294967296
+/// into a uint32_t fail rather than wrap or truncate).  \returns false and
+/// leaves \p Out alone on any of these.
+template <typename IntT> bool parseInteger(std::string_view Text, IntT &Out) {
+  const char *Last = Text.data() + Text.size();
+  IntT V = 0;
+  auto [End, Err] = std::from_chars(Text.data(), Last, V);
+  if (Err != std::errc() || End != Last)
+    return false;
+  Out = V;
+  return true;
+}
 
 } // namespace jumpstart
 

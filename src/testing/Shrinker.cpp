@@ -84,7 +84,9 @@ jumpstart::testing::shrinkProgram(GenProgram Prog,
       if (Prog.Funcs[F].ReturnExpr == "0")
         continue;
       GenProgram Candidate = Prog;
-      Candidate.Funcs[F].ReturnExpr = "0";
+      // assign(1, '0') rather than = "0": the same string, without gcc
+      // 12's false-positive -Wrestrict on the literal assignment.
+      Candidate.Funcs[F].ReturnExpr.assign(1, '0');
       if (Try(Candidate)) {
         Prog = std::move(Candidate);
         Progress = true;

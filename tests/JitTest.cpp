@@ -12,11 +12,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
+#include "fleet/Traffic.h"
+#include "fleet/WorkloadGen.h"
 #include "jit/Jit.h"
 #include "jit/Lower.h"
 #include "jit/Recorders.h"
 #include "jit/Region.h"
 #include "jit/TransLayout.h"
+#include "vm/Server.h"
 
 #include <gtest/gtest.h>
 
@@ -403,6 +406,60 @@ TEST(Tiering, FullLifecycle) {
   EXPECT_EQ(Opt->Kind, TransKind::Optimized);
   EXPECT_TRUE(Opt->Placed);
   EXPECT_LT(Opt->CostPerBytecode, kInterpCostPerBytecode);
+}
+
+TEST(TransDb, BestIndexMatchesLookupRule) {
+  // Drive a seeder through profiling, retranslate-all and the live tail;
+  // after every JIT grant the indexed best() must equal the lookup rule
+  // recomputed from forFunc: placed Optimized, else Live, else Profile.
+  fleet::WorkloadParams P;
+  P.NumHelpers = 80;
+  P.NumClasses = 16;
+  P.NumEndpoints = 8;
+  P.NumUnits = 8;
+  auto W = fleet::generateWorkload(P);
+  vm::ServerConfig Config;
+  Config.Jit.ProfileRequestTarget = 15;
+  vm::Server Server(W->Repo, Config, /*Seed=*/7);
+  Server.startup();
+  const TransDb &Db = Server.theJit().transDb();
+
+  uint32_t Checks = 0;
+  auto Check = [&] {
+    for (uint32_t Raw = 0; Raw < W->Repo.numFuncs(); ++Raw) {
+      bc::FuncId F(Raw);
+      const Translation *Expected = nullptr;
+      for (TransKind K :
+           {TransKind::Optimized, TransKind::Live, TransKind::Profile}) {
+        const Translation *T = Db.forFunc(F, K);
+        if (T && T->Placed) {
+          Expected = T;
+          break;
+        }
+      }
+      ASSERT_EQ(Db.best(F), Expected) << "function " << Raw;
+      ++Checks;
+    }
+  };
+  Rng R(11);
+  for (uint32_t I = 0; I < 120; ++I) {
+    uint32_t E = R.nextBelow(static_cast<uint32_t>(W->Endpoints.size()));
+    Server.executeRequest(W->Endpoints[E], fleet::TrafficModel::makeArgs(R));
+    Server.grantJitTime(0.5);
+    Check();
+  }
+  while (Server.theJit().hasPendingWork()) {
+    Server.grantJitTime(1.0);
+    Check();
+  }
+  ASSERT_EQ(Server.theJit().phase(), JitPhase::Mature);
+  ASSERT_GT(Checks, 0u);
+  uint32_t PlacedOfKind[3] = {};
+  for (const auto &T : Db.all())
+    if (T->Placed)
+      ++PlacedOfKind[static_cast<size_t>(T->Kind)];
+  EXPECT_GT(PlacedOfKind[static_cast<size_t>(TransKind::Profile)], 0u);
+  EXPECT_GT(PlacedOfKind[static_cast<size_t>(TransKind::Optimized)], 0u);
 }
 
 TEST(Tiering, ProfilingCollectsData) {
